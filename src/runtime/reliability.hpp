@@ -4,7 +4,7 @@
 // (injector, destination) pair:
 //   - sequence numbers stamped into the packet's 8 B proto header,
 //   - receiver-side duplicate suppression (cumulative counter + an
-//     out-of-order set),
+//     out-of-order bitmap of the sequences above it),
 //   - acknowledgements: every data packet piggybacks the current cumulative
 //     ack + a 32-bit SACK bitmap for its reverse flow; when no reverse
 //     traffic appears within an ack delay, a standalone 1-chunk ack packet
@@ -19,18 +19,23 @@
 // leg: each injection, including a forward from an intermediate, is its own
 // reliable flow, so a lost packet is retried by the node that injected it.
 //
+// State is dense and owned per node (a node's handlers run on exactly one
+// slab of a parallel run): one Flow record per touched (node, peer) pair
+// holds both directions, found through a per-node peer -> record index;
+// unacked packets sit in a per-node Pending pool addressed from a
+// seq-indexed ring. The retransmit scan visits peers in ascending rank and
+// sequences in ascending order, which is the whole of its determinism.
+//
 // Timer cookies claim the bit-63 namespace; anything else is forwarded to
 // the inner client (VMesh's phase gate uses cookie 1).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/network/fabric.hpp"
+#include "src/network/packet_ring.hpp"
 
 namespace bgl::rt {
 
@@ -65,11 +70,12 @@ class ReliableClient final : public net::Client {
   void on_timer(Rank node, std::uint64_t cookie) override;
 
   /// Aggregated across nodes. All mutable protocol state is sharded per
-  /// node (a node's handlers run on exactly one slab of a parallel run), so
-  /// the accessors sum the shards instead of returning a shared counter.
+  /// node, so the accessors sum the shards instead of returning a shared
+  /// counter.
   ReliabilityStats stats() const noexcept {
     ReliabilityStats total;
-    for (const ReliabilityStats& s : stats_by_node_) {
+    for (const NodeState& ns : nodes_) {
+      const ReliabilityStats& s = ns.stats;
       total.data_sequenced += s.data_sequenced;
       total.retransmits += s.retransmits;
       total.gave_up += s.gave_up;
@@ -82,12 +88,13 @@ class ReliableClient final : public net::Client {
   }
 
   /// Ordered (injector, destination) pairs with at least one abandoned
-  /// packet; data for these pairs is incomplete despite being routable.
-  /// Ordered by injector rank, then abandonment time within the rank.
+  /// packet, each listed once; data for these pairs is incomplete despite
+  /// being routable. Ordered by injector rank, then by the time of the
+  /// pair's first abandonment within the rank.
   std::vector<std::pair<Rank, Rank>> abandoned_pairs() const {
     std::vector<std::pair<Rank, Rank>> out;
-    for (Rank n = 0; n < static_cast<Rank>(abandoned_by_node_.size()); ++n) {
-      for (const Rank peer : abandoned_by_node_[static_cast<std::size_t>(n)]) {
+    for (Rank n = 0; n < static_cast<Rank>(nodes_.size()); ++n) {
+      for (const Rank peer : nodes_[static_cast<std::size_t>(n)].abandoned) {
         out.emplace_back(n, peer);
       }
     }
@@ -99,31 +106,74 @@ class ReliableClient final : public net::Client {
   // (low 32 bits = sender being acked) vs the per-node retransmit scan.
   static constexpr std::uint64_t kCookieFlag = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kAckFlushBit = std::uint64_t{1} << 62;
+  // Unacked-ring entry of a sequence that is acked or abandoned.
+  static constexpr std::uint32_t kTombstone = 0xffffffffu;
 
   struct Pending {
     net::InjectDesc desc{};  // re-emittable copy, sequence number included
     Tick sent_at = 0;
     int tries = 1;  // sends so far
   };
-  struct SenderFlow {
+
+  // Both directions of one ordered (node, peer) pair: the sender half of
+  // node -> peer and the receiver half of peer -> node. Every handler that
+  // touches one half touches the other, so one lookup serves both.
+  struct Flow {
+    Rank peer = 0;
+    // Sender half. Sequences start at 1; `unacked` covers [base, next_seq]
+    // with slot seq & (size - 1), each holding a pool index or kTombstone.
+    // base is the lowest sequence still unacked (next_seq + 1 when none).
     std::uint32_t next_seq = 0;
-    std::map<std::uint32_t, Pending> unacked;
-  };
-  struct ReceiverFlow {
-    std::uint32_t cum = 0;            // all of 1..cum delivered to the app
-    std::set<std::uint32_t> ooo;      // received above the cumulative point
+    std::uint32_t base = 1;
+    std::vector<std::uint32_t> unacked;  // power-of-two capacity, or empty
+    bool abandoned = false;  // this pair is already in abandoned_pairs()
+    // Receiver half: all of 1..cum delivered to the app; bit i of the
+    // bitmap (word i / 64) is sequence cum + 1 + i, received out of order.
+    // Trailing zero words are trimmed, so empty means "nothing above cum".
     bool ack_pending = false;
     bool flush_scheduled = false;
+    std::uint32_t cum = 0;
+    std::vector<std::uint64_t> ooo;
+  };
+
+  // Everything one node's handlers touch; no other node reads or writes it
+  // while the fabric runs.
+  struct NodeState {
+    std::vector<std::uint32_t> flow_of;   // per peer rank: index + 1 into flows, 0 = none
+    std::vector<Flow> flows;              // in first-touch order
+    std::vector<std::uint64_t> unacked_peers;  // bit per peer rank: sender half non-empty
+    std::vector<Pending> pool;            // unacked packets, addressed by Flow::unacked
+    std::vector<std::uint32_t> free_slots;  // recycled pool indices
+    net::RingQueue<net::InjectDesc> ready;  // acks + retransmits
+    std::uint32_t unacked = 0;            // live Pending records
+    bool scan_armed = false;
+    ReliabilityStats stats;
+    std::vector<Rank> abandoned;          // peers, in first-abandonment order
   };
 
   bool routable(Rank from, Rank to, net::RoutingMode mode) const;
-  void arm_scan(Rank node);
+  /// The record for (node, peer), or nullptr when the pair was never touched.
+  static Flow* find_flow(NodeState& ns, Rank peer);
+  /// The record for (node, peer), allocated on first touch.
+  Flow& flow_for(NodeState& ns, Rank peer);
+  /// Files a copy of desc (already sequenced) as unacked, doubling the
+  /// flow's ring when the window outgrows it.
+  void track(NodeState& ns, Flow& flow, const net::InjectDesc& desc);
+  /// Frees seq's pool record if it is still unacked.
+  static void release(NodeState& ns, Flow& flow, std::uint32_t seq);
+  /// Moves base past acked seqs and clears the peer's scan bit when drained.
+  static void settle(NodeState& ns, Flow& flow);
+  /// Marks seq (> cum) received and advances cum over the in-order prefix.
+  static void accept(Flow& flow, std::uint32_t seq);
+  void request_ack(Rank node, Flow& flow);
+  void arm_scan(Rank node, NodeState& ns);
   void scan(Rank node);
   void ack_flush(Rank node, Rank sender);
-  void process_ack(Rank node, Rank peer, std::uint32_t cum, std::uint32_t bits);
-  /// Stamps the current receiver state for flow (desc.dst -> node) into the
-  /// outgoing descriptor's ack fields.
-  void refresh_ack(Rank node, net::InjectDesc& desc);
+  static void process_ack(NodeState& ns, Flow& flow, std::uint32_t cum,
+                          std::uint32_t bits);
+  /// Stamps the receiver state of flow (peer -> node) into the outgoing
+  /// descriptor's ack fields; an untouched pair (`flow` null) leaves them.
+  static void refresh_ack(NodeState& ns, Flow* flow, net::InjectDesc& desc);
 
   net::Client* inner_;
   net::Fabric* fabric_ = nullptr;
@@ -131,18 +181,9 @@ class ReliableClient final : public net::Client {
   Tick ack_delay_;
   Tick scan_period_;
   int max_retries_;
+  std::size_t peers_;  // nodes in the shape: the per-node index width
 
-  // All per-node containers are std::map keyed by peer rank so iteration
-  // order (and therefore every retransmission decision) is deterministic.
-  std::vector<std::map<Rank, SenderFlow>> send_;
-  std::vector<std::map<Rank, ReceiverFlow>> recv_;
-  std::vector<std::deque<net::InjectDesc>> ready_;  // acks + retransmits
-  std::vector<std::uint32_t> unacked_count_;
-  std::vector<std::uint8_t> scan_armed_;
-
-  // Sharded per injector node so concurrent slabs never share a counter.
-  std::vector<ReliabilityStats> stats_by_node_;
-  std::vector<std::vector<Rank>> abandoned_by_node_;
+  std::vector<NodeState> nodes_;
 };
 
 }  // namespace bgl::rt

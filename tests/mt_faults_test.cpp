@@ -123,6 +123,34 @@ TEST(MtFaults, CorruptDetectionMatchesAcrossThreads) {
   }
 }
 
+TEST(MtFaults, DeepWindowLossyRunDeliversCellExactAcrossThreads) {
+  // ~140 packets per pair at 2% loss under the default RTO: a dropped
+  // sequence waits a full timeout while the rest of its flow keeps
+  // arriving, so gaps open more than 64 sequences deep (the receiver's
+  // out-of-order bitmap spans several words) and the sender's unacked ring
+  // grows well past its initial capacity and wraps as acks advance it.
+  const char* spec = "drop:0.02,seed:19";
+  const std::int32_t nodes = 16;  // 4x2x2
+  DeliveryMatrix st(nodes);
+  const RunResult ref = faulted_run("4x2x2", StrategyKind::kAdaptiveRandom,
+                                    32768, spec, 1, &st);
+  ASSERT_TRUE(ref.drained);
+  ASSERT_GT(ref.reliability.retransmits, 0u) << "plan retransmitted nothing";
+  EXPECT_TRUE(ref.reachable_complete);
+  EXPECT_EQ(ref.reliability.corrupt_rejected, ref.faults.corrupted_payloads);
+  for (const int threads : {2, 4}) {
+    DeliveryMatrix mt(nodes);
+    const RunResult r = faulted_run("4x2x2", StrategyKind::kAdaptiveRandom,
+                                    32768, spec, threads, &mt);
+    ASSERT_TRUE(r.drained);
+    EXPECT_EQ(r.sim_threads, threads);
+    EXPECT_TRUE(r.reachable_complete);
+    EXPECT_EQ(r.reliability.corrupt_rejected, r.faults.corrupted_payloads);
+    EXPECT_EQ(r.pairs_complete, ref.pairs_complete);
+    expect_matrices_equal(st, mt);
+  }
+}
+
 TEST(MtFaults, MidRunStrikeWithRecoveryDeterministicPerThreadCount) {
   // A blind strike's in-flight casualty set is timing-coupled, so across
   // thread counts only the final verdict must agree; for a fixed

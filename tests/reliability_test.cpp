@@ -143,6 +143,17 @@ TEST(Reliability, ExhaustedRetryBudgetIsReportedNotHung) {
   EXPECT_LT(r.pairs_complete, all_pairs(options));
 }
 
+TEST(Reliability, AbandonedPairsCountsPairsNotPackets) {
+  // With no retries at a 20% drop rate most pairs lose several packets;
+  // each such pair must still be reported once.
+  const auto options = options_for("2x2x2", 4096, "drop:0.2,retries:0,rto:2000");
+  const RunResult r = run_alltoall(StrategyKind::kAdaptiveRandom, options);
+  ASSERT_TRUE(r.drained);
+  ASSERT_GT(r.abandoned_pairs, 0u);
+  EXPECT_LE(r.abandoned_pairs, all_pairs(options));
+  EXPECT_LT(r.abandoned_pairs, r.reliability.gave_up);
+}
+
 // --- determinism ----------------------------------------------------------
 
 TEST(Reliability, FaultyRunsAreDeterministic) {
