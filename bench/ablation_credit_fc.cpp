@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.describe("bytes", "payload per destination (default 960)");
   cli.validate();
 
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
   const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 960));
   bench::print_header("Ablation — TPS credit-based flow control (paper Section 5)",
                       ("partition " + shape.to_string() + ", " + std::to_string(bytes) +

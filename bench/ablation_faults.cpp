@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.describe("drop", "extra per-arrival packet drop probability (default 1e-5)");
   cli.validate();
   const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
   const double drop = cli.get_double("drop", 1e-5);
 
   bench::print_header("Ablation — graceful degradation under link faults",

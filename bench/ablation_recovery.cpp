@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cli.describe("shape", "partition to strike (default 8x8x8)");
   cli.validate();
   const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
 
   bench::print_header("Ablation — epoch recovery from a mid-collective fail-stop",
                       "percent of healthy peak / repair epochs / payload re-sourced");

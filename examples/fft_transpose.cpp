@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.describe("seed", "simulation seed");
   cli.validate();
 
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
   const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
   const auto nodes = static_cast<std::uint64_t>(shape.nodes());
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.describe("seed", "simulation seed");
   cli.validate();
 
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
   const auto updates = static_cast<std::uint64_t>(cli.get_int("updates", 256));
   const auto nodes = static_cast<std::uint64_t>(shape.nodes());
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));

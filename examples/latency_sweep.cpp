@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.describe("strategies", "comma list of mpi,ar,dr,throttle,tps,vmesh (default ar,tps,vmesh)");
   cli.validate();
 
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
   const auto sizes = util::parse_int_list(cli.get("sizes", "1,8,32,64,240,960"));
 
   std::vector<coll::StrategyKind> kinds;

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   cli.validate();
 
   bgl::coll::AlltoallOptions options;
-  options.net.shape = bgl::util::shape_arg_or_exit(cli.get("shape", "8x8x8"), "quickstart");
+  options.net.shape = bgl::util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x8"), "quickstart");
   options.net.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   options.net.vc_capacity_chunks =
       static_cast<std::uint16_t>(cli.get_int("vc", options.net.vc_capacity_chunks));

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cli.describe("heatmap", "print an AR link-utilization heatmap first");
   cli.validate();
 
-  const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
+  const auto shape = util::alltoall_shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
   auto sizes = util::parse_int_list(cli.get("sizes", "8,64,240,960"));
   const bool show_links = cli.get_bool("links", false);
 

@@ -134,9 +134,9 @@ struct NetworkConfig {
 
   bool collect_link_stats = true;
 
-  /// Worker threads for the simulator core. 1 (the default) is the reference
-  /// single-threaded engine, bit-identical run to run. Values > 1 partition
-  /// the torus into axis-aligned slabs driven by conservative time windows
+  /// Worker threads for the simulator core. 1 (the default) is the one-slab
+  /// reference run, bit-identical run to run. Values > 1 partition the torus
+  /// into that many axis-aligned slabs driven by conservative time windows
   /// (see DESIGN.md "Threading model"); results stay deterministic for a
   /// fixed (seed, sim_threads) pair, delivery matrices are preserved
   /// exactly, and completion times may differ from 1-thread runs only

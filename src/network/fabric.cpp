@@ -17,20 +17,21 @@ constexpr int axis_of(int dir) noexcept { return dir / 2; }
 constexpr int sign_of(int dir) noexcept { return (dir % 2 == 0) ? +1 : -1; }
 constexpr int dir_index(int axis, int sign) noexcept { return axis * 2 + (sign > 0 ? 0 : 1); }
 
-/// Events between watchdog polls on a parallel worker (mirrors
-/// sim::Engine::kAbortPollMask).
-constexpr std::uint64_t kMtPollMask = 0x1fff;
+/// Events between watchdog polls (power of two; a steady_clock read every
+/// ~8k events is noise even for micro benches).
+constexpr std::uint64_t kPollMask = 0x1fff;
 
 }  // namespace
 
-thread_local Fabric::Shard* Fabric::shard_ctx_ = nullptr;
+Fabric::Shard*& Fabric::executing_shard() noexcept {
+  // Thread-local so fabrics run concurrently on different host threads
+  // (harness --jobs) cannot alias.
+  static thread_local Shard* shard = nullptr;
+  return shard;
+}
 
 Fabric::Fabric(const NetworkConfig& config, Client& client)
-    : config_(config),
-      torus_(config.shape),
-      client_(&client),
-      engine_(*this),
-      rng_(config.seed) {
+    : config_(config), torus_(config.shape), client_(&client) {
   for (int a = 0; a < config_.shape.axis_count(); ++a) {
     // Route state is int16 signed hops per axis; a ring of 32768 peaks at
     // 16384 hops.
@@ -98,13 +99,13 @@ Fabric::Fabric(const NetworkConfig& config, Client& client)
 
   cpu_.resize(static_cast<std::size_t>(nodes));
 
-  engine_.set_strict(config_.debug_checks);
   // Conservative lookahead of the parallel run: any cross-slab packet takes
   // at least one chunk of serialization plus the hop latency, so a window of
   // that length can be simulated per slab without seeing a neighbor's events.
   window_cycles_ = static_cast<Tick>(config_.chunk_cycles) + config_.hop_latency_cycles;
 
   init_faults();
+  setup_shards(plan_threads());
 }
 
 void Fabric::init_faults() {
@@ -133,62 +134,65 @@ void Fabric::init_faults() {
 }
 
 void Fabric::prime_fault_events() {
-  if (!faults_active_ || fault_events_scheduled_) return;
-  fault_events_scheduled_ = true;
+  if (!faults_active_) return;
+  // The strike goes to every slab (each applies its own slice of links,
+  // cores and in-flight packets); a transient outage goes to the owner
+  // slab(s) of its two directed ends.
   const FaultConfig& fc = config_.faults;
-  const bool strike_pending =
-      fc.fail_at > 0 &&
-      fault_plan_.dead_link_count() + fault_plan_.dead_node_count() > 0;
-  if (shards_.empty()) {
-    if (strike_pending) engine_.schedule(fc.fail_at, kEvFault, kPermStrike, 0);
-    for (std::uint32_t i = 0; i < fault_plan_.transients().size(); ++i) {
-      const TransientOutage& outage = fault_plan_.transients()[i];
-      engine_.schedule(outage.down_at, kEvFault, i, 0);
-      engine_.schedule(outage.up_at, kEvFault, i, 1);
-    }
-    return;
-  }
-  // Parallel run: the strike goes to every slab (each applies its own slice
-  // of links, cores and in-flight packets); a transient outage goes to the
-  // owner slab(s) of its two directed ends.
-  if (strike_pending) {
+  if (fc.fail_at > 0 && fault_plan_.dead_link_count() + fault_plan_.dead_node_count() > 0) {
     for (Shard& shard : shards_) shard.wheel.push(fc.fail_at, kEvFault, kPermStrike, 0);
   }
   for (std::uint32_t i = 0; i < fault_plan_.transients().size(); ++i) {
     const TransientOutage& outage = fault_plan_.transients()[i];
     const Rank node_a = static_cast<Rank>(outage.link / dirs_);
     const Rank node_b = link_peer_[static_cast<std::size_t>(outage.link)];
-    const std::int32_t slab_a = node_slab_[static_cast<std::size_t>(node_a)];
-    const std::int32_t slab_b = node_slab_[static_cast<std::size_t>(node_b)];
-    shards_[static_cast<std::size_t>(slab_a)].wheel.push(outage.down_at, kEvFault, i, 0);
-    shards_[static_cast<std::size_t>(slab_a)].wheel.push(outage.up_at, kEvFault, i, 1);
-    if (slab_b != slab_a) {
-      shards_[static_cast<std::size_t>(slab_b)].wheel.push(outage.down_at, kEvFault, i, 0);
-      shards_[static_cast<std::size_t>(slab_b)].wheel.push(outage.up_at, kEvFault, i, 1);
+    Shard& shard_a = shard_of(node_a);
+    Shard& shard_b = shard_of(node_b);
+    shard_a.wheel.push(outage.down_at, kEvFault, i, 0);
+    shard_a.wheel.push(outage.up_at, kEvFault, i, 1);
+    if (&shard_b != &shard_a) {
+      shard_b.wheel.push(outage.down_at, kEvFault, i, 0);
+      shard_b.wheel.push(outage.up_at, kEvFault, i, 1);
     }
   }
 }
 
-bool Fabric::run(Tick deadline) {
-  const int threads = plan_threads();
-  if (threads > 1) return run_parallel(threads, deadline);
-  if (!primed_) {
-    primed_ = true;
-    prime_fault_events();
-    const int nodes = torus_.nodes();
-    for (Rank n = 0; n < nodes; ++n) {
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
-        cpu.idle = true;  // a dead node's core never pumps
-        continue;
-      }
-      cpu.pump_scheduled = true;
-      engine_.schedule(0, kEvCpu, static_cast<std::uint32_t>(n));
+void Fabric::prime() {
+  primed_ = true;
+  prime_fault_events();
+  for (Rank n = 0; n < torus_.nodes(); ++n) {
+    CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
+    if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
+      cpu.idle = true;  // a dead node's core never pumps
+      continue;
     }
+    cpu.pump_scheduled = true;
+    shard_of(n).wheel.push(0, kEvCpu, static_cast<std::uint32_t>(n), 0);
   }
-  const bool quiescent = engine_.run(deadline);
-  if (config_.debug_checks) run_debug_checks(quiescent);
-  return quiescent;
+}
+
+bool Fabric::run(Tick deadline) {
+  if (!primed_) prime();
+  abort_flag_.store(false, std::memory_order_relaxed);
+  if (shards_.size() == 1) {
+    // The reference run: one window that ends at the deadline and includes
+    // it. No outboxes, no worker threads, no barrier.
+    run_window(shards_.front(), deadline);
+    drained_ = shards_.front().wheel.empty();
+  } else {
+    run_parallel(deadline);
+  }
+  const bool stopped = abort_flag_.load(std::memory_order_relaxed);
+  if (stopped) drained_ = false;
+  aborted_ = stopped && !error_;  // the watchdog, not a handler error
+  merge_shard_stats();
+  if (error_) {
+    const std::exception_ptr error = error_;
+    error_ = nullptr;
+    std::rethrow_exception(error);
+  }
+  if (config_.debug_checks) run_debug_checks(drained_);
+  return drained_;
 }
 
 int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
@@ -206,12 +210,6 @@ int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
   // buffers need no global event order.
   if (window_cycles_ == 0) {
     give(ThreadFallbackReason::kZeroWindow);
-    return 1;
-  }
-  // A run primed into the engine (an earlier single-threaded call) cannot
-  // migrate mid-flight.
-  if (primed_ && !mt_primed_) {
-    give(ThreadFallbackReason::kPrimedEngine);
     return 1;
   }
   const int extent = config_.shape.dim[static_cast<std::size_t>(slab_axis())];
@@ -244,93 +242,67 @@ void Fabric::setup_shards(int threads) {
     node_slab_[static_cast<std::size_t>(n)] =
         static_cast<std::int32_t>(c * threads / extent);
   }
-  shards_.clear();
   shards_.resize(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     Shard& shard = shards_[static_cast<std::size_t>(i)];
     shard.id = i;
     // Independent per-slab stream derived from the run seed, so a run is
-    // reproducible for a fixed (seed, sim_threads) pair.
-    shard.rng = util::Xoshiro256StarStar(
-        config_.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
-    shard.outbox.resize(static_cast<std::size_t>(threads));
+    // reproducible for a fixed (seed, sim_threads) pair; slab 0 draws the
+    // run seed's own stream.
+    shard.rng = util::Xoshiro256StarStar(config_.seed +
+                                         0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i));
+    if (threads > 1) shard.outbox.resize(static_cast<std::size_t>(threads));
     shard.struck = struck_;
   }
 }
 
-bool Fabric::run_parallel(int threads, Tick deadline) {
-  if (!mt_primed_) {
-    setup_shards(threads);
-    mt_primed_ = true;
-    primed_ = true;
-    prime_fault_events();
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
-        cpu.idle = true;  // a dead node's core never pumps
-        continue;
-      }
-      cpu.pump_scheduled = true;
-      shards_[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(n)])]
-          .wheel.push(0, kEvCpu, static_cast<std::uint32_t>(n), 0);
-    }
-  }
-  mt_done_ = false;
-  mt_drained_ = false;
-  mt_aborted_ = false;
-  mt_abort_flag_.store(false, std::memory_order_relaxed);
-  advance_window(deadline);
-  if (!mt_done_) {
-    std::barrier sync(threads, [this, deadline]() noexcept { barrier_phase(deadline); });
-    auto worker = [&](int index) {
-      Shard& shard = shards_[static_cast<std::size_t>(index)];
-      for (;;) {
-        try {
-          shard_step(shard);
-        } catch (...) {
-          shard_ctx_ = nullptr;
-          {
-            const std::lock_guard<std::mutex> lock(mt_error_mutex_);
-            if (!mt_error_) mt_error_ = std::current_exception();
-          }
-          mt_abort_flag_.store(true, std::memory_order_relaxed);
+void Fabric::run_window(Shard& shard, Tick last) noexcept {
+  executing_shard() = &shard;
+  try {
+    while (auto event = shard.wheel.pop_if_at_most(last)) {
+      shard.now = event->time;
+      ++shard.processed;
+      dispatch(shard, *event);
+      if ((shard.processed & kPollMask) == 0) {
+        if (abort_flag_.load(std::memory_order_relaxed)) break;
+        if (shard.id == 0 && abort_check_ && abort_check_()) {
+          abort_flag_.store(true, std::memory_order_relaxed);
+          break;
         }
-        sync.arrive_and_wait();
-        if (mt_done_) break;
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads) - 1);
-    for (int i = 1; i < threads; ++i) pool.emplace_back(worker, i);
-    worker(0);
-    for (std::thread& t : pool) t.join();
+    }
+  } catch (...) {
+    record_error(std::current_exception());
   }
-  merge_shard_stats();
-  if (mt_error_) {
-    const std::exception_ptr error = mt_error_;
-    mt_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  if (config_.debug_checks) run_debug_checks(mt_drained_);
-  return mt_drained_;
+  executing_shard() = nullptr;
 }
 
-void Fabric::shard_step(Shard& shard) {
-  shard_ctx_ = &shard;
-  const Tick limit = window_end_ - 1;  // window_end_ is exclusive and >= 1
-  while (auto event = shard.wheel.pop_if_at_most(limit)) {
-    shard.now = event->time;
-    ++shard.processed;
-    handle(*event);
-    if ((shard.processed & kMtPollMask) == 0) {
-      if (mt_abort_flag_.load(std::memory_order_relaxed)) break;
-      if (shard.id == 0 && abort_check_ && abort_check_()) {
-        mt_abort_flag_.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
+void Fabric::record_error(std::exception_ptr error) noexcept {
+  {
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!error_) error_ = std::move(error);
   }
-  shard_ctx_ = nullptr;
+  abort_flag_.store(true, std::memory_order_relaxed);
+}
+
+void Fabric::run_parallel(Tick deadline) {
+  done_ = false;
+  advance_window(deadline);
+  if (done_) return;
+  const int threads = static_cast<int>(shards_.size());
+  std::barrier sync(threads, [this, deadline]() noexcept { barrier_phase(deadline); });
+  auto worker = [&](int index) {
+    Shard& shard = shards_[static_cast<std::size_t>(index)];
+    do {
+      run_window(shard, window_end_ - 1);  // window_end_ is exclusive and >= 1
+      sync.arrive_and_wait();
+    } while (!done_);
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads) - 1);
+  for (int i = 1; i < threads; ++i) pool.emplace_back(worker, i);
+  worker(0);
+  for (std::thread& t : pool) t.join();
 }
 
 void Fabric::barrier_phase(Tick deadline) noexcept {
@@ -344,9 +316,7 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
     try {
       drain_hop_logs();
     } catch (...) {
-      const std::lock_guard<std::mutex> lock(mt_error_mutex_);
-      if (!mt_error_) mt_error_ = std::current_exception();
-      mt_abort_flag_.store(true, std::memory_order_relaxed);
+      record_error(std::current_exception());
     }
   }
   for (Shard& src : shards_) {
@@ -355,11 +325,8 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
       src.outbox[d].clear();
     }
   }
-  shard_ctx_ = nullptr;
-  if (mt_abort_flag_.load(std::memory_order_relaxed)) {
-    mt_done_ = true;
-    mt_drained_ = false;
-    if (!mt_error_) mt_aborted_ = true;  // watchdog abort, not a worker error
+  if (abort_flag_.load(std::memory_order_relaxed)) {
+    done_ = true;
     return;
   }
   advance_window(deadline);
@@ -374,14 +341,9 @@ void Fabric::advance_window(Tick deadline) {
       min_next = std::min(min_next, *t);
     }
   }
-  if (!any) {
-    mt_done_ = true;
-    mt_drained_ = true;
-    return;
-  }
-  if (min_next > deadline) {
-    mt_done_ = true;
-    mt_drained_ = false;
+  if (!any || min_next > deadline) {
+    done_ = true;
+    drained_ = !any;
     return;
   }
   Tick end = min_next + window_cycles_;
@@ -394,15 +356,14 @@ void Fabric::advance_window(Tick deadline) {
 }
 
 void Fabric::apply_boundary(Shard& dst, const BoundaryMsg& msg) {
-  shard_ctx_ = &dst;
   if (msg.is_credit) {
     buffer_free_[static_cast<std::size_t>(msg.buf)] += msg.chunks;
     // The wake fires no earlier than the receiving slab's clock: a boundary
     // credit may thus act up to one window later than an in-slab return
     // would have (the documented timing relaxation of the parallel run).
-    schedule_arb_if_idle(msg.node, msg.port, std::max(msg.at, dst.now));
+    schedule_arb_if_idle(dst, msg.node, msg.port, std::max(msg.at, dst.now));
   } else {
-    const std::uint32_t slot = alloc_flight_slot();
+    const std::uint32_t slot = alloc_flight_slot(dst);
     FlightSlot& flight = dst.flights[slot];
     flight.packet = msg.packet;
     flight.to_node = msg.node;
@@ -445,7 +406,7 @@ void Fabric::merge_shard_stats() {
   bool struck = struck_;
   FaultStats ftotal;
   // stranded_relay_bytes is computed post-run by the strategy client and
-  // written into the global counter, never into a shard; preserve it across
+  // written into the merged counter, never into a shard; preserve it across
   // merges (the recovery loop re-runs the fabric after it is set).
   ftotal.stranded_relay_bytes = fault_stats_.stranded_relay_bytes;
   for (const Shard& shard : shards_) {
@@ -473,7 +434,7 @@ void Fabric::merge_shard_stats() {
   }
   stats_ = total;
   in_network_ = net;
-  mt_events_ = events;
+  events_ = events;
   if (faults_active_) {
     fault_stats_ = ftotal;
     if (struck && !struck_) {
@@ -483,21 +444,21 @@ void Fabric::merge_shard_stats() {
   }
 }
 
-void Fabric::post(Tick at, std::uint32_t type, std::uint32_t a, std::uint64_t b) {
-  Shard* shard = shard_ctx_;
-  if (shard == nullptr) {
-    engine_.schedule(at, type, a, b);
-    return;
-  }
-  if (at < shard->now) {
+void Fabric::post(Shard& shard, Tick at, std::uint32_t type, std::uint32_t a,
+                  std::uint64_t b) {
+  if (at < shard.now) {
+    // A handler scheduling into the past is a bug: the event would fire
+    // "now" and silently reorder against already-queued same-tick events.
+    // debug_checks (BGL_CHECK) reports it; the permissive default clamps so
+    // release sweeps degrade instead of dying.
     if (config_.debug_checks) {
       throw std::logic_error("Fabric::post into the past: type=" + std::to_string(type) +
                              " at=" + std::to_string(at) +
-                             " now=" + std::to_string(shard->now));
+                             " now=" + std::to_string(shard.now));
     }
-    at = shard->now;
+    at = shard.now;
   }
-  shard->wheel.push(at, type, a, b);
+  shard.wheel.push(at, type, a, b);
 }
 
 void Fabric::run_debug_checks(bool quiescent) const {
@@ -507,48 +468,75 @@ void Fabric::run_debug_checks(bool quiescent) const {
   }
 }
 
-void Fabric::handle(const sim::Event& event) {
+void Fabric::dispatch(Shard& shard, const sim::Event& event) {
   switch (event.type) {
     case kEvArb:
-      arbitrate(static_cast<int>(event.a));
+      arbitrate(shard, static_cast<int>(event.a));
       break;
     case kEvArrival:
-      on_arrival(event.a);
+      on_arrival(shard, event.a);
       break;
     case kEvCpu:
-      pump_cpu(static_cast<Rank>(event.a));
+      pump_cpu(shard, static_cast<Rank>(event.a));
       break;
     case kEvTimer:
       // Timers of a fail-stopped node die with it: its reliability scan loop
       // would otherwise re-arm forever and the run could only end by
       // exhausting the watchdog timeout.
-      if (node_alive_now(static_cast<Rank>(event.a))) {
+      if (node_alive_now(shard, static_cast<Rank>(event.a))) {
         client_->on_timer(static_cast<Rank>(event.a), event.b);
       }
       break;
     case kEvFault:
-      on_fault_event(event.a, event.b);
+      on_fault_event(shard, event.a, event.b);
       break;
     case kEvSweep:
-      stuck_sweep();
+      stuck_sweep(shard);
       break;
     default:
       assert(false && "unknown event type");
   }
 }
 
+Tick Fabric::now() const noexcept {
+  if (const Shard* shard = executing_shard()) return shard->now;
+  Tick latest = 0;
+  for (const Shard& shard : shards_) latest = std::max(latest, shard.now);
+  return latest;
+}
+
+bool Fabric::perm_faults_struck() const noexcept {
+  const Shard* shard = executing_shard();
+  return shard != nullptr ? shard->struck : struck_;
+}
+
+bool Fabric::pair_routable_now(Rank src, Rank dst, RoutingMode mode) const {
+  if (!faults_active_ || !perm_faults_struck()) return true;
+  return fault_plan_.pair_routable(src, dst, mode, route_memo_scratch());
+}
+
+FaultPlan::RouteMemo* Fabric::route_memo_scratch() const noexcept {
+  Shard* shard = executing_shard();
+  return shard != nullptr ? &shard->route_memo : nullptr;
+}
+
+// Client entry points resolve the slab by node: every client callback names
+// the node whose handler is running, and that node's slab is the executing
+// one (outside run() it is simply the node's owner).
 void Fabric::wake_cpu(Rank node) {
-  if (!node_alive_now(node)) return;
+  Shard& shard = shard_of(node);
+  if (!node_alive_now(shard, node)) return;
   CpuState& cpu = cpu_[static_cast<std::size_t>(node)];
   if (cpu.stalled) return;  // will resume when its FIFO drains
   cpu.idle = false;
   if (cpu.pump_scheduled) return;
   cpu.pump_scheduled = true;
-  post(std::max(now(), cpu.next_free), kEvCpu, static_cast<std::uint32_t>(node));
+  post(shard, std::max(shard.now, cpu.next_free), kEvCpu, static_cast<std::uint32_t>(node));
 }
 
 void Fabric::schedule_timer(Rank node, Tick delay, std::uint64_t cookie) {
-  post(now() + delay, kEvTimer, static_cast<std::uint32_t>(node), cookie);
+  Shard& shard = shard_of(node);
+  post(shard, shard.now + delay, kEvTimer, static_cast<std::uint32_t>(node), cookie);
 }
 
 int Fabric::fifo_free_chunks(Rank node, int fifo) const {
@@ -575,22 +563,22 @@ Tick Fabric::cpu_inject_cycles(const InjectDesc& desc) const noexcept {
   return cycles == 0 ? 1 : cycles;
 }
 
-void Fabric::pump_cpu(Rank node) {
+void Fabric::pump_cpu(Shard& shard, Rank node) {
   CpuState& cpu = cpu_[static_cast<std::size_t>(node)];
   cpu.pump_scheduled = false;
-  if (!node_alive_now(node)) {
+  if (!node_alive_now(shard, node)) {
     // A pump queued before the node fail-stopped; the core is dead.
     cpu.idle = true;
     return;
   }
-  if (now() < cpu.next_free) {
+  if (shard.now < cpu.next_free) {
     cpu.pump_scheduled = true;
-    post(cpu.next_free, kEvCpu, static_cast<std::uint32_t>(node));
+    post(shard, cpu.next_free, kEvCpu, static_cast<std::uint32_t>(node));
     return;
   }
 
   if (cpu.stalled) {
-    if (!try_inject(node, cpu.pending)) return;  // still no FIFO space
+    if (!try_inject(shard, node, cpu.pending)) return;  // still no FIFO space
     cpu.stalled = false;
   } else {
     InjectDesc desc;
@@ -601,7 +589,7 @@ void Fabric::pump_cpu(Rank node) {
     assert(desc.dst >= 0 && desc.dst < torus_.nodes() && desc.dst != node);
     assert(desc.wire_chunks >= 1 && desc.wire_chunks <= config_.max_packet_chunks);
     assert(desc.fifo < fifo_count_);
-    if (!try_inject(node, desc)) {
+    if (!try_inject(shard, node, desc)) {
       cpu.pending = desc;
       cpu.stalled = true;
       return;  // resumes when the FIFO pops
@@ -609,18 +597,18 @@ void Fabric::pump_cpu(Rank node) {
     cpu.pending = desc;  // keep for cost accounting below
   }
 
-  cpu.next_free = now() + cpu_inject_cycles(cpu.pending);
+  cpu.next_free = shard.now + cpu_inject_cycles(cpu.pending);
   cpu.pump_scheduled = true;
-  post(cpu.next_free, kEvCpu, static_cast<std::uint32_t>(node));
+  post(shard, cpu.next_free, kEvCpu, static_cast<std::uint32_t>(node));
 }
 
-bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
-  if (faults_active_ && struck_now() &&
-      !fault_plan_.pair_routable(node, desc.dst, desc.mode, live_route_memo())) {
+bool Fabric::try_inject(Shard& shard, Rank node, const InjectDesc& desc) {
+  if (faults_active_ && shard.struck &&
+      !fault_plan_.pair_routable(node, desc.dst, desc.mode, &shard.route_memo)) {
     // No live minimal path can ever deliver this packet. Consume the
     // descriptor (the core still pays its injection cost) and count it,
     // rather than letting an undeliverable packet wedge a FIFO forever.
-    ++live_fault_stats().unroutable_at_injection;
+    ++shard.fstats.unroutable_at_injection;
     return true;
   }
   const std::size_t fid = static_cast<std::size_t>(fifo_id(node, desc.fifo));
@@ -639,12 +627,12 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
   packet.checksum = desc.checksum;
   packet.attempt = desc.attempt;
 
-  if (faults_active_ && struck_now()) {
+  if (faults_active_ && shard.struck) {
     // Same tie-coin draw as below, but steered away from tie resolutions
     // whose minimal DAG is severed by permanent faults.
     packet.hops = fault_plan_.choose_hops(node, desc.dst, desc.mode,
-                                          [this] { return live_rng().coin(); },
-                                          live_route_memo());
+                                          [&shard] { return shard.rng.coin(); },
+                                          &shard.route_memo);
   } else {
     const topo::Coord from = torus_.coord_of(node);
     const topo::Coord to = torus_.coord_of(desc.dst);
@@ -653,7 +641,7 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
       // A half-way destination on an even torus ring is reachable both ways;
       // random choice balances the two directions across the all-to-all.
       if (signed_hops != 0 && torus_.is_halfway_tie(from[a], to[a], a) &&
-          live_rng().coin()) {
+          shard.rng.coin()) {
         signed_hops = -signed_hops;
       }
       packet.hops[static_cast<std::size_t>(a)] = static_cast<std::int16_t>(signed_hops);
@@ -664,24 +652,20 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
   fifo_free_[fid] -= desc.wire_chunks;
   const bool becomes_head = fifos_[fid].empty();
   fifos_[fid].push_back(packet);
-  ++live_in_network();
-  FabricStats& stats = live_stats();
-  if (stats.first_injection == FabricStats::kNever) stats.first_injection = now();
+  ++shard.in_network;
+  FabricStats& stats = shard.stats;
+  if (stats.first_injection == FabricStats::kNever) stats.first_injection = shard.now;
   ++stats.packets_injected;
   if (becomes_head) {
     set_fifo_want(fid, want_mask(packet));
-    if (faults_active_) fifo_head_since_[fid] = now();
-    schedule_profitable_arbs(node, packet);
+    if (faults_active_) fifo_head_since_[fid] = shard.now;
+    schedule_profitable_arbs(shard, node, packet);
   }
-  if (faults_active_) arm_sweep();
+  if (faults_active_) arm_sweep(shard);
   return true;
 }
 
-void Fabric::schedule_arb_if_idle(Rank node, int dir) {
-  schedule_arb_if_idle(node, dir, now());
-}
-
-void Fabric::schedule_arb_if_idle(Rank node, int dir, Tick at) {
+void Fabric::schedule_arb_if_idle(Shard& shard, Rank node, int dir, Tick at) {
   const std::size_t link = static_cast<std::size_t>(link_id(node, dir));
   if (link_peer_[link] < 0) return;        // mesh edge: no link
   if (faults_active_ && link_down_[link]) return;  // re-armed at repair
@@ -695,20 +679,20 @@ void Fabric::schedule_arb_if_idle(Rank node, int dir, Tick at) {
   // setters keep it in lockstep with).
   if (node_dir_want_[link] == 0) return;
   arb_scheduled_[link] = 1;
-  post(at, kEvArb, static_cast<std::uint32_t>(link));
+  post(shard, at, kEvArb, static_cast<std::uint32_t>(link));
 }
 
-void Fabric::schedule_profitable_arbs(Rank node, const Packet& packet) {
+void Fabric::schedule_profitable_arbs(Shard& shard, Rank node, const Packet& packet) {
   if (packet.mode == RoutingMode::kDeterministic) {
     const int axis = packet.dim_order_axis();
     if (axis < 0) return;
     const int sign = packet.hops[static_cast<std::size_t>(axis)] > 0 ? +1 : -1;
-    schedule_arb_if_idle(node, dir_index(axis, sign));
+    schedule_arb_if_idle(shard, node, dir_index(axis, sign));
     return;
   }
   for (int a = 0; a < topo::kMaxAxes; ++a) {
     const std::int16_t h = packet.hops[static_cast<std::size_t>(a)];
-    if (h != 0) schedule_arb_if_idle(node, dir_index(a, h > 0 ? +1 : -1));
+    if (h != 0) schedule_arb_if_idle(shard, node, dir_index(a, h > 0 ? +1 : -1));
   }
 }
 
@@ -783,10 +767,10 @@ int Fabric::select_downstream(const Packet& packet, Rank node, int dir, bool ent
   return free >= need ? vc_bubble_ : kBlocked;
 }
 
-void Fabric::arbitrate(int link) {
+void Fabric::arbitrate(Shard& shard, int link) {
   const std::size_t lk = static_cast<std::size_t>(link);
   arb_scheduled_[lk] = 0;
-  if (link_busy_until_[lk] > now()) return;
+  if (link_busy_until_[lk] > shard.now) return;
   if (faults_active_ && link_down_[lk]) return;  // a down link grants nothing
   const Rank peer = link_peer_[lk];
   if (peer < 0) return;
@@ -822,45 +806,25 @@ void Fabric::arbitrate(int link) {
       // Never walk a packet into a region it could not leave: if the
       // remaining minimal DAG past `peer` is severed by permanent faults,
       // refuse this output (adaptive packets take another live direction).
-      if (faults_active_ && struck_now() && target != kDeliverHere &&
-          !continuation_live(head, peer, dir)) {
-        ++live_fault_stats().reroute_vetoes;
+      if (faults_active_ && shard.struck && target != kDeliverHere &&
+          !continuation_live(shard, head, peer, dir)) {
+        ++shard.fstats.reroute_vetoes;
         continue;
       }
 
       const Packet granted = head;
       queue.pop_front();
-      const std::int32_t credit = (vc == vc_bubble_ ? 1 : granted.chunks);
-      // Credit return: the upstream link feeding this buffer may now proceed.
-      // The free counter is owned by the feeder's slab, so when that slab is
-      // not ours the return travels as a boundary message instead.
-      const Rank upstream = torus_.neighbor(node, topo::Direction::from_index(input ^ 1));
-      const bool credit_cross =
-          shard_ctx_ != nullptr && upstream >= 0 &&
-          node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id;
-      if (!credit_cross) buffer_free_[static_cast<std::size_t>(base + vc)] += credit;
       set_buffer_want(static_cast<std::size_t>(base + vc),
                       queue.empty() ? 0 : want_mask(queue.front()));
       if (faults_active_ && !queue.empty()) {
-        head_since_[static_cast<std::size_t>(base + vc)] = now();
+        head_since_[static_cast<std::size_t>(base + vc)] = shard.now;
       }
-      if (credit_cross) {
-        BoundaryMsg msg;
-        msg.at = now();
-        msg.node = upstream;
-        msg.buf = base + vc;
-        msg.chunks = credit;
-        msg.port = static_cast<std::uint8_t>(input);
-        msg.is_credit = true;
-        shard_ctx_->outbox[static_cast<std::size_t>(
-            node_slab_[static_cast<std::size_t>(upstream)])].push_back(msg);
-      } else if (upstream >= 0) {
-        schedule_arb_if_idle(upstream, input);
-      }
-      if (!queue.empty()) schedule_profitable_arbs(node, queue.front());
+      // Credit return: the upstream link feeding this buffer may now proceed.
+      return_buffer_credit(shard, node, input, granted);
+      if (!queue.empty()) schedule_profitable_arbs(shard, node, queue.front());
 
       rr_next_[lk] = static_cast<std::uint8_t>((input + 1) % dirs_);
-      commit_grant(lk, node, dir, peer, granted, target);
+      commit_grant(shard, lk, node, dir, peer, granted, target);
       return;
     }
   }
@@ -874,9 +838,9 @@ void Fabric::arbitrate(int link) {
     saw_candidate = true;
     const int target = select_downstream(head, node, dir, /*entering=*/true);
     if (target == kBlocked) continue;
-    if (faults_active_ && struck_now() && target != kDeliverHere &&
-        !continuation_live(head, peer, dir)) {
-      ++live_fault_stats().reroute_vetoes;
+    if (faults_active_ && shard.struck && target != kDeliverHere &&
+        !continuation_live(shard, head, peer, dir)) {
+      ++shard.fstats.reroute_vetoes;
       continue;
     }
 
@@ -884,50 +848,50 @@ void Fabric::arbitrate(int link) {
     queue.pop_front();
     fifo_free_[fid] += granted.chunks;
     set_fifo_want(fid, queue.empty() ? 0 : want_mask(queue.front()));
-    if (faults_active_ && !queue.empty()) fifo_head_since_[fid] = now();
+    if (faults_active_ && !queue.empty()) fifo_head_since_[fid] = shard.now;
     // The core may be stalled waiting for space in this FIFO.
     CpuState& cpu = cpu_[static_cast<std::size_t>(node)];
     if (cpu.stalled && cpu.pending.fifo == fifo && !cpu.pump_scheduled) {
       cpu.pump_scheduled = true;
-      post(std::max(now(), cpu.next_free), kEvCpu, static_cast<std::uint32_t>(node));
+      post(shard, std::max(shard.now, cpu.next_free), kEvCpu,
+           static_cast<std::uint32_t>(node));
     }
-    if (!queue.empty()) schedule_profitable_arbs(node, queue.front());
+    if (!queue.empty()) schedule_profitable_arbs(shard, node, queue.front());
 
-    commit_grant(lk, node, dir, peer, granted, target);
+    commit_grant(shard, lk, node, dir, peer, granted, target);
     return;
   }
 
   // No grant: the link stays idle; state changes re-schedule arbitration.
   if (saw_candidate) {
-    ++live_stats().arb_blocked;
+    ++shard.stats.arb_blocked;
   } else {
-    ++live_stats().arb_no_candidate;
+    ++shard.stats.arb_no_candidate;
   }
 }
 
-void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
+void Fabric::commit_grant(Shard& shard, std::size_t lk, Rank node, int dir, Rank peer,
                           const Packet& granted_in, int target) {
-  ++live_stats().arb_grants;
+  ++shard.stats.arb_grants;
   Packet granted = granted_in;
   const int axis = axis_of(dir);
   const int sign = sign_of(dir);
   granted.hops[static_cast<std::size_t>(axis)] =
       static_cast<std::int16_t>(granted.hops[static_cast<std::size_t>(axis)] - sign);
   if (hop_observer_) {
-    if (shard_ctx_ != nullptr) {
+    if (shards_.size() == 1) {
+      hop_observer_(granted, node, dir, target);
+    } else {
       // Buffered, not invoked: observers may touch cross-slab state, so the
       // replay happens single-threaded at the window barrier.
-      shard_ctx_->hop_log.push_back(
-          {now(), static_cast<std::uint32_t>(lk), target, granted});
-    } else {
-      hop_observer_(granted, node, dir, target);
+      shard.hop_log.push_back({shard.now, static_cast<std::uint32_t>(lk), target, granted});
     }
   }
   Tick busy = static_cast<Tick>(granted.chunks) * config_.chunk_cycles;
   if (faults_active_ && link_degraded_[lk]) busy *= config_.faults.degrade_mult;
-  link_busy_until_[lk] = now() + busy;
+  link_busy_until_[lk] = shard.now + busy;
   if (config_.collect_link_stats) link_busy_[lk] += busy;
-  live_stats().chunk_hops += granted.chunks;
+  shard.stats.chunk_hops += granted.chunks;
 
   const bool deliver = (target == kDeliverHere);
   // The downstream reservation below stays slab-local even when `peer` does
@@ -938,9 +902,8 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
     buffer_free_[static_cast<std::size_t>(buf_id(peer, dir, target))] -=
         (target == vc_bubble_ ? 1 : granted.chunks);
   }
-  const Tick arrive_at = now() + busy + config_.hop_latency_cycles;
-  if (shard_ctx_ != nullptr &&
-      node_slab_[static_cast<std::size_t>(peer)] != shard_ctx_->id) {
+  const Tick arrive_at = shard.now + busy + config_.hop_latency_cycles;
+  if (node_slab_[static_cast<std::size_t>(peer)] != shard.id) {
     // Cross-slab hop: the arrival tick is exact (serialization + hop latency
     // >= the lookahead window, so it lands at or past the next window start).
     BoundaryMsg msg;
@@ -950,24 +913,24 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
     msg.link = static_cast<std::uint32_t>(lk);
     msg.port = static_cast<std::uint8_t>(dir);
     msg.deliver = deliver;
-    shard_ctx_->outbox[static_cast<std::size_t>(
-        node_slab_[static_cast<std::size_t>(peer)])].push_back(msg);
+    shard.outbox[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(peer)])]
+        .push_back(msg);
   } else {
-    const std::uint32_t slot = alloc_flight_slot();
-    FlightSlot& flight = flight_at(slot);
+    const std::uint32_t slot = alloc_flight_slot(shard);
+    FlightSlot& flight = shard.flights[slot];
     flight.packet = granted;
     flight.to_node = peer;
     flight.link = static_cast<std::uint32_t>(lk);
     flight.port = static_cast<std::uint8_t>(dir);
     flight.deliver = deliver;
-    post(arrive_at, kEvArrival, slot);
+    post(shard, arrive_at, kEvArrival, slot);
   }
   arb_scheduled_[lk] = 1;
-  post(link_busy_until_[lk], kEvArb, static_cast<std::uint32_t>(lk));
+  post(shard, link_busy_until_[lk], kEvArb, static_cast<std::uint32_t>(lk));
 }
 
-void Fabric::on_arrival(std::uint32_t slot_index) {
-  FlightSlot& flight = flight_at(slot_index);
+void Fabric::on_arrival(Shard& shard, std::uint32_t slot_index) {
+  FlightSlot& flight = shard.flights[slot_index];
   assert(flight.in_use);
   Packet packet = flight.packet;
   const Rank node = flight.to_node;
@@ -976,7 +939,7 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
   const bool link_died = flight.dropped;
   flight.dropped = false;
   flight.in_use = false;
-  (shard_ctx_ != nullptr ? shard_ctx_->free_flights : free_flights_).push_back(slot_index);
+  shard.free_flights.push_back(slot_index);
 
   if (faults_active_) {
     // Counter-based per-packet fault draws: pure functions of the fault seed
@@ -998,18 +961,18 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
                                static_cast<std::uint64_t>(remaining & 0xffff);
     bool drop = link_died;
     if (drop) {
-      ++live_fault_stats().dropped_in_flight;
+      ++shard.fstats.dropped_in_flight;
     } else if (config_.faults.drop_prob > 0.0 && packet.seq != 0 &&
                fault_unit(drop_seed_, flow, life) < config_.faults.drop_prob) {
       drop = true;
-      ++live_fault_stats().dropped_prob;
+      ++shard.fstats.dropped_prob;
     }
     if (drop) {
-      --live_in_network();
+      --shard.in_network;
       if (!deliver) {
         // Return the downstream credit reserved at grant time; the freed
         // space may unblock the link feeding this buffer.
-        return_buffer_credit(node, port, packet);
+        return_buffer_credit(shard, node, port, packet);
       }
       return;
     }
@@ -1025,18 +988,18 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
           static_cast<std::uint32_t>(fault_hash(corrupt_seed_ ^ 0x6d61736bULL, flow, life));
       if (mask == 0) mask = 1;
       packet.checksum ^= mask;
-      ++live_fault_stats().corrupted_payloads;
+      ++shard.fstats.corrupted_payloads;
     }
   }
 
   if (deliver) {
     assert(packet.at_destination());
     assert(packet.dst == node);
-    --live_in_network();
-    FabricStats& stats = live_stats();
+    --shard.in_network;
+    FabricStats& stats = shard.stats;
     ++stats.packets_delivered;
     stats.payload_bytes_delivered += packet.payload_bytes;
-    stats.last_delivery = std::max(stats.last_delivery, now());
+    stats.last_delivery = std::max(stats.last_delivery, shard.now);
     client_->on_delivery(node, packet);
     return;
   }
@@ -1048,281 +1011,199 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
   if (becomes_head) {
     set_buffer_want(buf, want_mask(packet));
     if (faults_active_) {
-      head_since_[buf] = now();
-      // Parallel runs arm the sweep per slab: a slab that only relays (its
-      // own cores idle) would otherwise never arm its wedge backstop.
-      if (shard_ctx_ != nullptr) arm_sweep();
+      head_since_[buf] = shard.now;
+      // The sweep is armed per slab: a slab that only relays (its own cores
+      // idle) would otherwise never arm its wedge backstop. On one slab it
+      // is always armed here already (armed at injection, re-armed while
+      // packets remain).
+      arm_sweep(shard);
     }
-    schedule_profitable_arbs(node, packet);
+    schedule_profitable_arbs(shard, node, packet);
   }
 }
 
-void Fabric::on_fault_event(std::uint32_t a, std::uint64_t b) {
-  if (shard_ctx_ != nullptr) {
-    mt_fault_event(a, b);
-    return;
-  }
+void Fabric::on_fault_event(Shard& shard, std::uint32_t a, std::uint64_t b) {
+  // Each slab applies only the slice it owns, so no shared cell sees two
+  // writers: link down bits by the link's node owner, core state by the
+  // node owner, in-flight drops by an arena scan of the slab's own flights
+  // (a packet crossing a link can only sit in the arena of the granting or
+  // the receiving slab, both of which receive the event).
+  const auto owns = [&](Rank node) {
+    return node_slab_[static_cast<std::size_t>(node)] == shard.id;
+  };
+  const auto drop_flights_on = [&](auto&& dead_link) {
+    for (FlightSlot& flight : shard.flights) {
+      if (flight.in_use && !flight.dropped && dead_link(flight.link)) flight.dropped = true;
+    }
+  };
   if (a == kPermStrike) {
     // The blind phase ends here: permanent state becomes consultable, links
     // die and fail-stopped cores halt (their queued descriptors die with
     // them; in-flight relay custody is what stranded_relay_bytes accounts).
-    struck_ = true;
-    fault_plan_.invalidate_routes();
+    shard.struck = true;
+    shard.route_memo.clear();
     for (std::size_t l = 0; l < link_peer_.size(); ++l) {
-      if (fault_plan_.link_dead(static_cast<int>(l))) {
-        set_link_state(static_cast<int>(l), /*down=*/true);
+      if (fault_plan_.link_dead(static_cast<int>(l)) &&
+          owns(static_cast<Rank>(l) / dirs_)) {
+        link_down_[l] = 1;
       }
     }
+    drop_flights_on(
+        [&](std::uint32_t link) { return fault_plan_.link_dead(static_cast<int>(link)); });
     for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (fault_plan_.node_alive(n)) continue;
+      if (!owns(n) || fault_plan_.node_alive(n)) continue;
       CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
       cpu.idle = true;
       cpu.stalled = false;
     }
     // Traffic already committed into dead nodes can never drain on its own;
     // the stuck sweep is the backstop that returns its credits.
-    arm_sweep();
-    if (config_.debug_checks) run_debug_checks(false);
-    return;
-  }
-  const TransientOutage& outage =
-      fault_plan_.transients()[static_cast<std::size_t>(a)];
-  // `outage.link` is the + direction port, so the paired reverse link is the
-  // matching - direction port on the peer.
-  const Rank peer = link_peer_[static_cast<std::size_t>(outage.link)];
-  const int dir = outage.link % dirs_;
-  const int reverse = link_id(peer, dir ^ 1);
-  const bool repaired = b != 0;
-  if (repaired) {
-    fault_stats_.link_down_cycles += outage.up_at - outage.down_at;
-    set_link_state(outage.link, false);
-    set_link_state(reverse, false);
+    arm_sweep(shard);
   } else {
-    ++fault_stats_.transient_strikes;
-    set_link_state(outage.link, true);
-    set_link_state(reverse, true);
-  }
-  if (config_.debug_checks) run_debug_checks(false);
-}
-
-void Fabric::mt_fault_event(std::uint32_t a, std::uint64_t b) {
-  // Parallel-run fault events are replicated to every slab they concern;
-  // each slab applies only the slice it owns, so no shared cell sees two
-  // writers: link down bits by the link's node owner, core state by the
-  // node owner, in-flight drops by an arena scan of the slab's own flights
-  // (a packet crossing a link can only sit in the arena of the granting or
-  // the receiving slab, both of which receive the event).
-  Shard& shard = *shard_ctx_;
-  if (a == kPermStrike) {
-    shard.struck = true;
-    shard.route_memo.clear();
-    for (std::size_t l = 0; l < link_peer_.size(); ++l) {
-      if (!fault_plan_.link_dead(static_cast<int>(l))) continue;
-      if (node_slab_[static_cast<std::size_t>(static_cast<Rank>(l) / dirs_)] == shard.id) {
-        link_down_[l] = 1;
+    const TransientOutage& outage = fault_plan_.transients()[static_cast<std::size_t>(a)];
+    // `outage.link` is the + direction port, so the paired reverse link is
+    // the matching - direction port on the peer.
+    const Rank node_a = static_cast<Rank>(outage.link / dirs_);
+    const Rank node_b = link_peer_[static_cast<std::size_t>(outage.link)];
+    const int dir = outage.link % dirs_;
+    const auto forward = static_cast<std::uint32_t>(outage.link);
+    const auto reverse = static_cast<std::uint32_t>(link_id(node_b, dir ^ 1));
+    const bool repaired = b != 0;
+    if (owns(node_a)) {
+      // One bookkeeper per outage: the + end's owner counts it.
+      if (repaired) {
+        shard.fstats.link_down_cycles += outage.up_at - outage.down_at;
+      } else {
+        ++shard.fstats.transient_strikes;
       }
     }
-    for (FlightSlot& flight : shard.flights) {
-      if (flight.in_use && !flight.dropped &&
-          fault_plan_.link_dead(static_cast<int>(flight.link))) {
-        flight.dropped = true;
-      }
-    }
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
-      if (fault_plan_.node_alive(n)) continue;
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      cpu.idle = true;
-      cpu.stalled = false;
-    }
-    arm_sweep();
-    return;
-  }
-  const TransientOutage& outage =
-      fault_plan_.transients()[static_cast<std::size_t>(a)];
-  const Rank node_a = static_cast<Rank>(outage.link / dirs_);
-  const Rank node_b = link_peer_[static_cast<std::size_t>(outage.link)];
-  const int dir = outage.link % dirs_;
-  const int reverse = link_id(node_b, dir ^ 1);
-  const bool repaired = b != 0;
-  const bool own_a = node_slab_[static_cast<std::size_t>(node_a)] == shard.id;
-  const bool own_b = node_slab_[static_cast<std::size_t>(node_b)] == shard.id;
-  if (own_a) {
-    // One bookkeeper per outage: the + end's owner counts it.
     if (repaired) {
-      shard.fstats.link_down_cycles += outage.up_at - outage.down_at;
+      // Restart flow on a real down->up transition: whichever heads queued
+      // up behind the outage want out.
+      const auto restore = [&](Rank node, std::uint32_t link, int link_dir) {
+        if (!owns(node) || link_down_[link] == 0) return;
+        link_down_[link] = 0;
+        schedule_arb_if_idle(shard, node, link_dir);
+      };
+      restore(node_a, forward, dir);
+      restore(node_b, reverse, dir ^ 1);
     } else {
-      ++shard.fstats.transient_strikes;
+      if (owns(node_a)) link_down_[forward] = 1;
+      if (owns(node_b)) link_down_[reverse] = 1;
+      drop_flights_on([&](std::uint32_t link) { return link == forward || link == reverse; });
     }
   }
-  if (repaired) {
-    if (own_a) {
-      link_down_[static_cast<std::size_t>(outage.link)] = 0;
-      schedule_arb_if_idle(node_a, dir);
-    }
-    if (own_b) {
-      link_down_[static_cast<std::size_t>(reverse)] = 0;
-      schedule_arb_if_idle(node_b, dir ^ 1);
-    }
-  } else {
-    if (own_a) link_down_[static_cast<std::size_t>(outage.link)] = 1;
-    if (own_b) link_down_[static_cast<std::size_t>(reverse)] = 1;
-    for (FlightSlot& flight : shard.flights) {
-      if (flight.in_use && !flight.dropped &&
-          (flight.link == static_cast<std::uint32_t>(outage.link) ||
-           flight.link == static_cast<std::uint32_t>(reverse))) {
-        flight.dropped = true;
-      }
-    }
-  }
+  // A single slab owns all state, so the invariants can be checked here.
+  if (config_.debug_checks && shards_.size() == 1) run_debug_checks(false);
 }
 
-void Fabric::set_link_state(int link, bool down) {
-  const std::size_t lk = static_cast<std::size_t>(link);
-  if (link_down_[lk] == static_cast<std::uint8_t>(down ? 1 : 0)) return;
-  link_down_[lk] = down ? 1 : 0;
-  if (down) {
-    drop_in_flight_on_link(static_cast<std::uint32_t>(link));
-  } else {
-    // Restart flow: whichever heads queued up behind the outage want out.
-    schedule_arb_if_idle(static_cast<Rank>(link / dirs_), link % dirs_);
-  }
-}
-
-void Fabric::drop_in_flight_on_link(std::uint32_t link) {
-  for (FlightSlot& flight : flights_) {
-    if (flight.in_use && !flight.dropped && flight.link == link) {
-      flight.dropped = true;
-    }
-  }
-}
-
-bool Fabric::continuation_live(const Packet& head, Rank peer, int dir) const {
+bool Fabric::continuation_live(Shard& shard, const Packet& head, Rank peer, int dir) const {
   auto hops = head.hops;
   const int axis = axis_of(dir);
   hops[static_cast<std::size_t>(axis)] = static_cast<std::int16_t>(
       hops[static_cast<std::size_t>(axis)] - sign_of(dir));
-  return fault_plan_.route_live(peer, hops, head.mode, live_route_memo());
+  return fault_plan_.route_live(peer, hops, head.mode, &shard.route_memo);
 }
 
-void Fabric::return_buffer_credit(Rank node, int port, const Packet& packet) {
+void Fabric::return_buffer_credit(Shard& shard, Rank node, int port, const Packet& packet) {
   const std::size_t buf = static_cast<std::size_t>(buf_id(node, port, packet.vc));
   const std::int32_t credit = (packet.vc == vc_bubble_ ? 1 : packet.chunks);
   const Rank upstream = torus_.neighbor(node, topo::Direction::from_index(port ^ 1));
-  if (shard_ctx_ != nullptr && upstream >= 0 &&
-      node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id) {
+  if (upstream >= 0 && node_slab_[static_cast<std::size_t>(upstream)] != shard.id) {
     BoundaryMsg msg;
-    msg.at = now();
+    msg.at = shard.now;
     msg.node = upstream;
     msg.buf = static_cast<std::int32_t>(buf);
     msg.chunks = credit;
     msg.port = static_cast<std::uint8_t>(port);
     msg.is_credit = true;
-    shard_ctx_->outbox[static_cast<std::size_t>(
-        node_slab_[static_cast<std::size_t>(upstream)])].push_back(msg);
+    shard.outbox[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(upstream)])]
+        .push_back(msg);
     return;
   }
   buffer_free_[buf] += credit;
-  if (upstream >= 0) schedule_arb_if_idle(upstream, port);
+  if (upstream >= 0) schedule_arb_if_idle(shard, upstream, port);
 }
 
-void Fabric::arm_sweep() {
-  bool& armed = shard_ctx_ != nullptr ? shard_ctx_->sweep_scheduled : sweep_scheduled_;
-  if (armed || stuck_cycles_ == 0) return;
-  armed = true;
-  post(now() + stuck_cycles_, kEvSweep);
+void Fabric::arm_sweep(Shard& shard) {
+  if (shard.sweep_scheduled || stuck_cycles_ == 0) return;
+  shard.sweep_scheduled = true;
+  post(shard, shard.now + stuck_cycles_, kEvSweep);
 }
 
-void Fabric::stuck_sweep() {
-  if (shard_ctx_ != nullptr) {
-    // Parallel: sweep only the slab's own nodes. The shard's in_network is a
-    // delta (not a census), so occupancy of the owned queues drives re-arm.
-    Shard& shard = *shard_ctx_;
-    shard.sweep_scheduled = false;
-    const Tick cutoff = now() >= stuck_cycles_ ? now() - stuck_cycles_ : 0;
-    bool occupied = false;
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
-      for (int p = 0; p < dirs_; ++p) {
-        for (int vc = 0; vc < vcs_; ++vc) {
-          const std::size_t b = static_cast<std::size_t>(buf_id(n, p, vc));
-          while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
-          occupied = occupied || !buffers_[b].empty();
-        }
-      }
-      for (int f = 0; f < fifo_count_; ++f) {
-        const std::size_t fid = static_cast<std::size_t>(fifo_id(n, f));
-        while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) {
-          drop_fifo_head(n, f);
-        }
-        occupied = occupied || !fifos_[fid].empty();
-      }
-    }
-    if (occupied) {
-      shard.sweep_scheduled = true;
-      post(now() + stuck_cycles_, kEvSweep);
-    }
-    return;
-  }
-  sweep_scheduled_ = false;
-  if (in_network_ == 0) return;  // re-armed by the next injection
-  const Tick cutoff = now() >= stuck_cycles_ ? now() - stuck_cycles_ : 0;
+void Fabric::stuck_sweep(Shard& shard) {
+  // Drops every head older than stuck_cycles_ from the slab's own buffers,
+  // then from its own FIFOs.
+  shard.sweep_scheduled = false;
+  const Tick cutoff = shard.now >= stuck_cycles_ ? shard.now - stuck_cycles_ : 0;
+  const auto owns = [&](Rank node) {
+    return node_slab_[static_cast<std::size_t>(node)] == shard.id;
+  };
+  const std::size_t bufs_per_node =
+      static_cast<std::size_t>(dirs_) * static_cast<std::size_t>(vcs_);
+  bool occupied = false;
   for (std::size_t b = 0; b < buffers_.size(); ++b) {
-    while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
+    if (!owns(static_cast<Rank>(b / bufs_per_node))) continue;
+    while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(shard, b);
+    occupied = occupied || !buffers_[b].empty();
   }
   for (Rank n = 0; n < torus_.nodes(); ++n) {
+    if (!owns(n)) continue;
     for (int f = 0; f < fifo_count_; ++f) {
       const std::size_t fid = static_cast<std::size_t>(fifo_id(n, f));
       while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) {
-        drop_fifo_head(n, f);
+        drop_fifo_head(shard, n, f);
       }
+      occupied = occupied || !fifos_[fid].empty();
     }
   }
-  // While packets remain, keep sweeping: this guarantees a fault scenario
-  // can wedge at most stuck_cycles_ before the backstop unwinds it, and the
-  // event queue drains (quiescence) once the network truly empties.
-  if (in_network_ > 0) {
-    sweep_scheduled_ = true;
-    post(now() + stuck_cycles_, kEvSweep);
+  // While the slab holds packets (queued, or on the wire into it) keep
+  // sweeping: this guarantees a fault scenario can wedge at most
+  // stuck_cycles_ before the backstop unwinds it, and the wheel drains
+  // (quiescence) once the slab truly empties. On one slab this is exactly
+  // "packets remain in the network".
+  if (occupied || shard.flights.size() != shard.free_flights.size()) {
+    shard.sweep_scheduled = true;
+    post(shard, shard.now + stuck_cycles_, kEvSweep);
   }
 }
 
-void Fabric::drop_buffer_head(std::size_t buf) {
+void Fabric::drop_buffer_head(Shard& shard, std::size_t buf) {
   auto& queue = buffers_[buf];
   const Packet victim = queue.front();
   queue.pop_front();
   set_buffer_want(buf, queue.empty() ? 0 : want_mask(queue.front()));
-  --live_in_network();
-  ++live_fault_stats().dropped_stuck;
+  --shard.in_network;
+  ++shard.fstats.dropped_stuck;
   const Rank node =
       static_cast<Rank>(buf / (static_cast<std::size_t>(dirs_) *
                                static_cast<std::size_t>(vcs_)));
   const int port = static_cast<int>(buf / static_cast<std::size_t>(vcs_)) % dirs_;
-  return_buffer_credit(node, port, victim);
+  return_buffer_credit(shard, node, port, victim);
   if (!queue.empty()) {
-    head_since_[buf] = now();
-    schedule_profitable_arbs(node, queue.front());
+    head_since_[buf] = shard.now;
+    schedule_profitable_arbs(shard, node, queue.front());
   }
 }
 
-void Fabric::drop_fifo_head(Rank node, int fifo) {
+void Fabric::drop_fifo_head(Shard& shard, Rank node, int fifo) {
   const std::size_t fid = static_cast<std::size_t>(fifo_id(node, fifo));
   auto& queue = fifos_[fid];
   const Packet victim = queue.front();
   queue.pop_front();
   fifo_free_[fid] += victim.chunks;
   set_fifo_want(fid, queue.empty() ? 0 : want_mask(queue.front()));
-  --live_in_network();
-  ++live_fault_stats().dropped_stuck;
+  --shard.in_network;
+  ++shard.fstats.dropped_stuck;
   CpuState& cpu = cpu_[static_cast<std::size_t>(node)];
   if (cpu.stalled && cpu.pending.fifo == fifo && !cpu.pump_scheduled &&
-      node_alive_now(node)) {
+      node_alive_now(shard, node)) {
     cpu.pump_scheduled = true;
-    post(std::max(now(), cpu.next_free), kEvCpu, static_cast<std::uint32_t>(node));
+    post(shard, std::max(shard.now, cpu.next_free), kEvCpu, static_cast<std::uint32_t>(node));
   }
   if (!queue.empty()) {
-    fifo_head_since_[fid] = now();
-    schedule_profitable_arbs(node, queue.front());
+    fifo_head_since_[fid] = shard.now;
+    schedule_profitable_arbs(shard, node, queue.front());
   }
 }
 
@@ -1407,7 +1288,6 @@ std::string Fabric::check_invariants(bool quiescent) const {
     return fail("packets still in network: " + std::to_string(in_network_));
   }
   std::int64_t inflight = 0;
-  for (const FlightSlot& slot : flights_) inflight += slot.in_use;
   for (const Shard& shard : shards_) {
     for (const FlightSlot& slot : shard.flights) inflight += slot.in_use;
   }
@@ -1459,11 +1339,12 @@ void Fabric::dump_state() const {
 
 void Fabric::kick() {
   for (Rank n = 0; n < torus_.nodes(); ++n) {
-    for (int d = 0; d < dirs_; ++d) schedule_arb_if_idle(n, d);
+    Shard& shard = shard_of(n);
+    for (int d = 0; d < dirs_; ++d) schedule_arb_if_idle(shard, n, d);
     CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-    if (!cpu.pump_scheduled && node_alive_now(n)) {
+    if (!cpu.pump_scheduled && node_alive_now(shard, n)) {
       cpu.pump_scheduled = true;
-      post(std::max(now(), cpu.next_free), kEvCpu, static_cast<std::uint32_t>(n));
+      post(shard, std::max(shard.now, cpu.next_free), kEvCpu, static_cast<std::uint32_t>(n));
     }
   }
 }
@@ -1548,21 +1429,17 @@ void Fabric::trace_wait_cycle() const {
   }
 }
 
-std::uint32_t Fabric::alloc_flight_slot() {
-  std::vector<FlightSlot>& flights =
-      shard_ctx_ != nullptr ? shard_ctx_->flights : flights_;
-  std::vector<std::uint32_t>& free_list =
-      shard_ctx_ != nullptr ? shard_ctx_->free_flights : free_flights_;
+std::uint32_t Fabric::alloc_flight_slot(Shard& shard) {
   std::uint32_t slot;
-  if (!free_list.empty()) {
-    slot = free_list.back();
-    free_list.pop_back();
+  if (!shard.free_flights.empty()) {
+    slot = shard.free_flights.back();
+    shard.free_flights.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(flights.size());
-    flights.emplace_back();
+    slot = static_cast<std::uint32_t>(shard.flights.size());
+    shard.flights.emplace_back();
   }
-  flights[slot].in_use = true;
-  flights[slot].dropped = false;
+  shard.flights[slot].in_use = true;
+  shard.flights[slot].dropped = false;
   return slot;
 }
 

@@ -1,6 +1,6 @@
 // The torus network fabric: routers, links, virtual channels, injection
-// FIFOs and the per-node core (CPU) injection model, driven by a discrete
-// event engine.
+// FIFOs and the per-node core (CPU) injection model, driven by per-slab
+// discrete event wheels (one slab per simulator thread; see DESIGN.md §10).
 //
 // Model summary (see DESIGN.md Section 5):
 //  - Input-queued routers: each node has one input buffer per (incoming
@@ -41,7 +41,7 @@
 #include "src/network/faults.hpp"
 #include "src/network/packet.hpp"
 #include "src/network/packet_ring.hpp"
-#include "src/sim/engine.hpp"
+#include "src/sim/event_queue.hpp"
 #include "src/topology/torus.hpp"
 #include "src/util/rng.hpp"
 
@@ -118,18 +118,15 @@ struct FaultStats {
   }
 };
 
-/// Why a run that asked for --sim-threads N executed on fewer threads (or on
-/// the single-threaded reference engine). Surfaced through
-/// RunResult::sim_threads_reason so a silent fallback is always explainable.
+/// Why a run that asked for --sim-threads N executed on fewer slabs (down to
+/// the one-slab reference run). Surfaced through RunResult::sim_threads_reason
+/// so a silent fallback is always explainable.
 enum class ThreadFallbackReason : std::uint8_t {
-  kNone = 0,        // parallel engine in use at the requested width (or capped
-                    // only by the slab-axis extent)
+  kNone = 0,        // parallel run at the requested width (or capped only by
+                    // the slab-axis extent)
   kNotRequested,    // sim_threads <= 1: nobody asked
   kZeroWindow,      // zero-cost links leave no conservative lookahead window
-  kPrimedEngine,    // an earlier single-threaded run() primed the reference
-                    // engine; a mid-flight migration is impossible
   kNarrowShape,     // the widest axis has extent 1: nothing to partition
-  kLegacyClient,    // collective layer: the client is not slab-safe
   kCrossNodeDeps,   // collective layer: schedule phases carry cross-node
                     // dependencies that need a global event order
 };
@@ -139,15 +136,13 @@ constexpr const char* to_string(ThreadFallbackReason reason) noexcept {
     case ThreadFallbackReason::kNone: return "parallel";
     case ThreadFallbackReason::kNotRequested: return "not requested";
     case ThreadFallbackReason::kZeroWindow: return "zero lookahead window";
-    case ThreadFallbackReason::kPrimedEngine: return "engine already primed";
     case ThreadFallbackReason::kNarrowShape: return "slab axis extent 1";
-    case ThreadFallbackReason::kLegacyClient: return "legacy client";
     case ThreadFallbackReason::kCrossNodeDeps: return "cross-node schedule deps";
   }
   return "?";
 }
 
-class Fabric : public sim::EventHandler {
+class Fabric {
  public:
   Fabric(const NetworkConfig& config, Client& client);
 
@@ -159,12 +154,14 @@ class Fabric : public sim::EventHandler {
   /// first call primes every node's core.
   bool run(Tick deadline = ~Tick{0});
 
-  /// Current simulation time: the executing slab's clock on a parallel run,
-  /// the engine clock otherwise. Slab clocks may differ transiently (bounded
-  /// by the lookahead window) but each handler only ever observes its own.
-  Tick now() const noexcept { return shard_ctx_ != nullptr ? shard_now() : engine_.now(); }
+  /// Current simulation time. Inside a handler it is the executing slab's
+  /// clock: slab clocks may differ transiently (bounded by the lookahead
+  /// window) but each handler only ever observes its own. Outside run() it
+  /// is the latest slab clock.
+  Tick now() const noexcept;
   const topo::Torus& torus() const noexcept { return torus_; }
   const NetworkConfig& config() const noexcept { return config_; }
+  /// Counters merged over all slabs when run() returns.
   const FabricStats& stats() const noexcept { return stats_; }
 
   /// The expanded fault plan (empty/disabled on a healthy network) and the
@@ -180,31 +177,28 @@ class Fabric : public sim::EventHandler {
   /// abandoned against a fault plan nobody is supposed to know yet. On a
   /// parallel run each slab observes its *own* strike flag (flipped by its
   /// own kPermStrike event), so a handler never reads a neighbor's toggle
-  /// mid-window.
-  bool perm_faults_struck() const noexcept { return struck_now(); }
+  /// mid-window. Outside run() it is the merged flag.
+  bool perm_faults_struck() const noexcept;
 
   /// Thread-safe routability oracle for clients running inside handlers:
   /// answers against the permanent fault state *as this node currently sees
   /// it* (always routable while the network is still blind), memoized in the
-  /// executing slab's private memo on a parallel run. Strategy clients must
-  /// use this instead of fault_plan().pair_routable() — the plan's internal
-  /// memo is not thread-safe.
-  bool pair_routable_now(Rank src, Rank dst, RoutingMode mode) const {
-    if (!faults_active_ || !struck_now()) return true;
-    return fault_plan_.pair_routable(src, dst, mode, live_route_memo());
-  }
+  /// executing slab's private memo. Strategy clients must use this instead
+  /// of fault_plan().pair_routable() — the plan's internal memo is not
+  /// thread-safe.
+  bool pair_routable_now(Rank src, Rank dst, RoutingMode mode) const;
 
-  /// The executing slab's private routability memo — nullptr on a
-  /// single-threaded run, where the plan's internal memo is safe. Clients
-  /// that consult the plan's oracle directly inside handlers (the schedule
-  /// executor's relay re-picking) must pass this through so parallel slabs
-  /// never share the plan's unsynchronized cache.
-  FaultPlan::RouteMemo* route_memo_scratch() const noexcept {
-    return live_route_memo();
-  }
+  /// The executing slab's private routability memo — nullptr outside run(),
+  /// where the plan's internal memo is safe. Clients that consult the plan's
+  /// oracle directly inside handlers (the schedule executor's relay
+  /// re-picking) must pass this through so parallel slabs never share the
+  /// plan's unsynchronized cache.
+  FaultPlan::RouteMemo* route_memo_scratch() const noexcept;
 
   /// Re-arms `node`'s core if idle (clients call this when new work arrives,
-  /// e.g. a TPS forward enqueued by on_delivery).
+  /// e.g. a TPS forward enqueued by on_delivery). Both this and
+  /// schedule_timer act on `node`'s slab: inside a handler of a parallel
+  /// run, `node` must be the node whose callback is running.
   void wake_cpu(Rank node);
 
   /// Fires Client::on_timer(node, cookie) after `delay` cycles.
@@ -215,34 +209,28 @@ class Fabric : public sim::EventHandler {
   /// Least-occupied FIFO index in [begin, end).
   int pick_fifo(Rank node, int begin, int end) const;
 
-  /// Packets currently inside the network (FIFOs + buffers + in flight).
+  /// Packets inside the network (FIFOs + buffers + in flight) when run()
+  /// returned.
   std::int64_t packets_in_network() const noexcept { return in_network_; }
 
-  /// Host-side watchdog for wedged runs: polled every few thousand events;
-  /// returning true aborts run() (which then reports not-drained). See
-  /// sim::Engine::set_abort_check.
-  void set_abort_check(std::function<bool()> check) {
-    abort_check_ = std::move(check);
-    engine_.set_abort_check(abort_check_);
-  }
-  bool aborted() const noexcept { return engine_.aborted() || mt_aborted_; }
+  /// Host-side watchdog for wedged runs: polled by slab 0 every few thousand
+  /// events; returning true aborts run(), which then reports not-drained and
+  /// sets aborted(). Results of an aborted run are not meaningful.
+  void set_abort_check(std::function<bool()> check) { abort_check_ = std::move(check); }
+  bool aborted() const noexcept { return aborted_; }
 
   /// Busy cycles of the directed link (node, direction); divide by elapsed
   /// time for utilization. Empty when collect_link_stats is off.
   const std::vector<Tick>& link_busy_cycles() const noexcept { return link_busy_; }
 
-  void handle(const sim::Event& event) override;
+  std::uint64_t events_processed() const noexcept { return events_; }
 
-  std::uint64_t events_processed() const noexcept {
-    return engine_.events_processed() + mt_events_;
-  }
-
-  /// Worker threads the last/next run() actually uses after eligibility
-  /// gating (1 on single-thread runs; see NetworkConfig::sim_threads).
-  int effective_sim_threads() const noexcept { return plan_threads(); }
+  /// Slabs (= worker threads) run() uses after eligibility gating, fixed at
+  /// construction (see NetworkConfig::sim_threads).
+  int effective_sim_threads() const noexcept { return static_cast<int>(shards_.size()); }
 
   /// Why the effective thread count fell short of the request (kNone when
-  /// the parallel engine runs).
+  /// the parallel run uses the requested width).
   ThreadFallbackReason sim_threads_reason() const noexcept {
     ThreadFallbackReason reason = ThreadFallbackReason::kNone;
     (void)plan_threads(&reason);
@@ -251,11 +239,12 @@ class Fabric : public sim::EventHandler {
 
   /// Observer invoked at every link grant: (packet after hop decrement,
   /// node granting, direction index, downstream VC or kDeliverHere).
-  /// For tests and tracing; adds a branch per grant when unset. On a
-  /// parallel run grants are buffered per slab and the observer is invoked
-  /// at each window barrier in (tick, link id) order — a total, deterministic
-  /// order (a link grants at most once per tick), though generally different
-  /// from the single-threaded interleaving across links.
+  /// For tests and tracing; adds a branch per grant when unset. A one-slab
+  /// run invokes it inline at grant time. On a parallel run grants are
+  /// buffered per slab and the observer is invoked at each window barrier in
+  /// (tick, link id) order — a total, deterministic order (a link grants at
+  /// most once per tick), though generally different from the one-slab
+  /// interleaving across links.
   using HopObserver = std::function<void(const Packet&, Rank, int, int)>;
   void set_hop_observer(HopObserver observer) { hop_observer_ = std::move(observer); }
 
@@ -341,7 +330,7 @@ class Fabric : public sim::EventHandler {
   /// RNG, stat counters and fault-side state. Torus state arrays (buffers,
   /// credits, links, cores) stay in the shared structure-of-arrays vectors;
   /// slab ownership partitions their *indices*, so workers never write the
-  /// same cell.
+  /// same cell. Every handler receives the slab it runs on.
   struct Shard {
     int id = 0;
     sim::TimingWheel wheel;
@@ -352,7 +341,7 @@ class Fabric : public sim::EventHandler {
     util::Xoshiro256StarStar rng;
     FabricStats stats;
     std::int64_t in_network = 0;
-    /// Outgoing messages, indexed by destination shard.
+    /// Outgoing messages, indexed by destination shard (none on one slab).
     std::vector<std::vector<BoundaryMsg>> outbox;
     // Shard-owned fault state: counters merged at merge_shard_stats, a
     // private strike flag flipped by this slab's own kPermStrike event, a
@@ -373,42 +362,30 @@ class Fabric : public sim::EventHandler {
   }
   int fifo_id(Rank node, int fifo) const noexcept { return node * fifo_count_ + fifo; }
 
-  // --- event dispatch (single- or multi-threaded) ---
-  /// Schedules an event on the executing slab's wheel (parallel run) or the
-  /// engine (single-threaded run). All call sites schedule slab-local events
-  /// by construction; cross-slab effects go through BoundaryMsg instead.
-  void post(Tick at, std::uint32_t type, std::uint32_t a = 0, std::uint64_t b = 0);
-  Tick shard_now() const noexcept { return shard_ctx_->now; }
-  FabricStats& live_stats() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->stats : stats_;
+  // --- slabs and event dispatch ---
+  /// The slab executing a handler on this thread; null outside run(). Lives
+  /// in fabric.cpp so only out-of-line code touches the thread-local.
+  static Shard*& executing_shard() noexcept;
+  Shard& shard_of(Rank node) noexcept {
+    return shards_[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(node)])];
   }
-  std::int64_t& live_in_network() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->in_network : in_network_;
-  }
-  util::Xoshiro256StarStar& live_rng() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->rng : rng_;
-  }
-  FlightSlot& flight_at(std::uint32_t slot) noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->flights[slot] : flights_[slot];
-  }
-  FaultStats& live_fault_stats() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->fstats : fault_stats_;
-  }
-  /// Slab-private routability memo, or nullptr (= the plan's internal memo)
-  /// on a single-threaded run.
-  FaultPlan::RouteMemo* live_route_memo() const noexcept {
-    return shard_ctx_ != nullptr ? &shard_ctx_->route_memo : nullptr;
-  }
-  bool struck_now() const noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->struck : struck_;
-  }
+  /// Schedules an event on `shard`'s wheel. All call sites schedule
+  /// slab-local events by construction; cross-slab effects go through
+  /// BoundaryMsg instead.
+  void post(Shard& shard, Tick at, std::uint32_t type, std::uint32_t a = 0,
+            std::uint64_t b = 0);
+  void dispatch(Shard& shard, const sim::Event& event);
 
-  // --- parallel (slab-partitioned) run ---
+  // --- run loop: one slab, or parallel windows ---
   int plan_threads(ThreadFallbackReason* reason = nullptr) const noexcept;
   int slab_axis() const noexcept;
-  bool run_parallel(int threads, Tick deadline);
   void setup_shards(int threads);
-  void shard_step(Shard& shard);
+  void prime();
+  /// Pops `shard`'s events up to and including `last`; an exception or the
+  /// watchdog stops it and raises abort_flag_.
+  void run_window(Shard& shard, Tick last) noexcept;
+  void record_error(std::exception_ptr error) noexcept;
+  void run_parallel(Tick deadline);
   void apply_boundary(Shard& dst, const BoundaryMsg& msg);
   void barrier_phase(Tick deadline) noexcept;
   void advance_window(Tick deadline);
@@ -416,40 +393,40 @@ class Fabric : public sim::EventHandler {
   void drain_hop_logs();
 
   // --- core simulation steps ---
-  void pump_cpu(Rank node);
-  void arbitrate(int link);
-  void commit_grant(std::size_t lk, Rank node, int dir, Rank peer, const Packet& granted,
-                    int target);
-  void on_arrival(std::uint32_t slot_index);
-  bool try_inject(Rank node, const InjectDesc& desc);
-  void schedule_arb_if_idle(Rank node, int dir);
-  void schedule_arb_if_idle(Rank node, int dir, Tick at);
-  void schedule_profitable_arbs(Rank node, const Packet& packet);
+  void pump_cpu(Shard& shard, Rank node);
+  void arbitrate(Shard& shard, int link);
+  void commit_grant(Shard& shard, std::size_t lk, Rank node, int dir, Rank peer,
+                    const Packet& granted, int target);
+  void on_arrival(Shard& shard, std::uint32_t slot_index);
+  bool try_inject(Shard& shard, Rank node, const InjectDesc& desc);
+  void schedule_arb_if_idle(Shard& shard, Rank node, int dir) {
+    schedule_arb_if_idle(shard, node, dir, shard.now);
+  }
+  void schedule_arb_if_idle(Shard& shard, Rank node, int dir, Tick at);
+  void schedule_profitable_arbs(Shard& shard, Rank node, const Packet& packet);
 
   // --- fault machinery (no-ops unless faults_active_) ---
   void init_faults();
   /// Schedules the fault timeline (delayed permanent strike, transient
-  /// outages) into the engine (single-threaded) or the shard wheels
-  /// (parallel), exactly once per fabric, at prime time.
+  /// outages) into the slab wheels, once per fabric, at prime time.
   void prime_fault_events();
-  void on_fault_event(std::uint32_t a, std::uint64_t b);
-  /// Parallel-run fault event: the executing slab applies only its own slice
-  /// (its links' down bits, its nodes' cores, its flight arena, its memo).
-  void mt_fault_event(std::uint32_t a, std::uint64_t b);
-  void set_link_state(int link, bool down);
-  void drop_in_flight_on_link(std::uint32_t link);
-  /// Returns the downstream credit a dropped packet reserved in buffer
-  /// (node, port, packet.vc) and re-arms the feeding link. The free counter
-  /// is owned by the feeder's slab, so on a parallel run with a foreign
-  /// feeder the return travels as a boundary credit message.
-  void return_buffer_credit(Rank node, int port, const Packet& packet);
+  /// Fault events are replicated to every slab they concern; the executing
+  /// slab applies only its own slice (its links' down bits, its nodes'
+  /// cores, its flight arena, its memo).
+  void on_fault_event(Shard& shard, std::uint32_t a, std::uint64_t b);
+  /// Returns the credit `packet` held in buffer (node, port, packet.vc) —
+  /// it left the buffer, or it was dropped on the way in or at its head —
+  /// and re-arms the feeding link. The free counter is owned by the
+  /// feeder's slab, so with a feeder in another slab the return travels as
+  /// a boundary credit message.
+  void return_buffer_credit(Shard& shard, Rank node, int port, const Packet& packet);
   /// True when `head`, after crossing `dir` into `peer`, still has a live
   /// minimal continuation (permanent fault state).
-  bool continuation_live(const Packet& head, Rank peer, int dir) const;
-  void arm_sweep();
-  void stuck_sweep();
-  void drop_buffer_head(std::size_t buf);
-  void drop_fifo_head(Rank node, int fifo);
+  bool continuation_live(Shard& shard, const Packet& head, Rank peer, int dir) const;
+  void arm_sweep(Shard& shard);
+  void stuck_sweep(Shard& shard);
+  void drop_buffer_head(Shard& shard, std::size_t buf);
+  void drop_fifo_head(Shard& shard, Rank node, int fifo);
   void run_debug_checks(bool quiescent) const;
 
   /// Downstream VC selection; returns VC index, kDeliverHere, or kBlocked.
@@ -495,13 +472,11 @@ class Fabric : public sim::EventHandler {
 
   Tick cpu_inject_cycles(const InjectDesc& desc) const noexcept;
 
-  std::uint32_t alloc_flight_slot();
+  static std::uint32_t alloc_flight_slot(Shard& shard);
 
   NetworkConfig config_;
   topo::Torus torus_;
   Client* client_;
-  sim::Engine engine_;
-  util::Xoshiro256StarStar rng_;
 
   int dirs_;             // link directions per node (2n)
   int fifo_count_;
@@ -540,32 +515,25 @@ class Fabric : public sim::EventHandler {
 
   std::vector<CpuState> cpu_;
 
-  std::vector<FlightSlot> flights_;
-  std::vector<std::uint32_t> free_flights_;
-
+  // Post-run views merged over the slabs by merge_shard_stats.
   FabricStats stats_;
   std::int64_t in_network_ = 0;
-  bool primed_ = false;
+  std::uint64_t events_ = 0;
   HopObserver hop_observer_;
 
-  // --- parallel-run state (empty on single-threaded runs) ---
-  /// Slab of the worker executing the current handler; null outside
-  /// run_parallel. Thread-local so nested fabrics on different host threads
-  /// (harness --jobs) cannot alias.
-  static thread_local Shard* shard_ctx_;
+  // --- slabs, built once in the constructor (one unless sim_threads > 1) ---
   std::vector<Shard> shards_;
-  std::vector<std::int32_t> node_slab_;
+  std::vector<std::int32_t> node_slab_;  // all zero on one slab
   std::function<bool()> abort_check_;
   Tick window_cycles_ = 0;
-  Tick window_end_ = 0;     // exclusive; written only at barriers
-  bool mt_primed_ = false;  // primed into shard wheels (vs. the engine)
-  bool mt_done_ = false;
-  bool mt_drained_ = false;
-  bool mt_aborted_ = false;
-  std::uint64_t mt_events_ = 0;
-  std::atomic<bool> mt_abort_flag_{false};
-  std::mutex mt_error_mutex_;
-  std::exception_ptr mt_error_;
+  Tick window_end_ = 0;  // exclusive; written only at barriers
+  bool primed_ = false;
+  bool done_ = false;
+  bool drained_ = false;
+  bool aborted_ = false;
+  std::atomic<bool> abort_flag_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;
   /// Scratch for the barrier's hop-observer drain (capacity reused).
   std::vector<HopRecord> hop_scratch_;
 
@@ -576,13 +544,13 @@ class Fabric : public sim::EventHandler {
   /// (plan-ahead semantics, unchanged), false until the kPermStrike event
   /// when fail_at > 0 (blind mid-run fail-stop). Gates every consultation of
   /// the plan's permanent state: routability, hop steering, reroute vetoes,
-  /// node liveness.
+  /// node liveness. Each slab keeps its own flag during a run; this is the
+  /// initial state and the merged post-run view.
   bool struck_ = false;
-  bool node_alive_now(Rank node) const noexcept {
-    return !faults_active_ || !struck_now() || fault_plan_.node_alive(node);
+  bool node_alive_now(const Shard& shard, Rank node) const noexcept {
+    return !faults_active_ || !shard.struck || fault_plan_.node_alive(node);
   }
   Tick stuck_cycles_ = 0;  // stuck-head drop budget (0 = sweep disabled)
-  bool sweep_scheduled_ = false;
   std::vector<std::uint8_t> link_down_;      // current (incl. transient) state
   std::vector<std::uint8_t> link_degraded_;  // serialization multiplier applies
   // Tick at which the current head of each buffer/FIFO became head; the
@@ -598,8 +566,7 @@ class Fabric : public sim::EventHandler {
   /// which would make the fault realization depend on the interleaving.
   std::uint64_t drop_seed_ = 0;
   std::uint64_t corrupt_seed_ = 0;
-  bool fault_events_scheduled_ = false;
-  FaultStats fault_stats_;
+  FaultStats fault_stats_;  // merged post-run view
 };
 
 }  // namespace bgl::net

@@ -11,7 +11,7 @@
 //
 // The simulator fires ~1-2 events per simulated cycle under load, which is
 // exactly the density a per-cycle wheel wants; the wheel is ~3x faster than
-// the heap end-to-end and is what Engine uses.
+// the heap end-to-end and is what every fabric slab runs on.
 #pragma once
 
 #include <cstdint>

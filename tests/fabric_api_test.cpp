@@ -2,6 +2,8 @@
 // wake semantics and run-result accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -69,6 +71,65 @@ TEST(FabricApi, TimerFiresAndWakesTheCore) {
   EXPECT_GE(client.fire_time, 5000u);
   EXPECT_GT(client.delivery_time, client.fire_time)
       << "the deferred packet must go out only after the wake";
+}
+
+/// Node 0 arms one timer per (delay, cookie) on its first ask and records
+/// every firing as (cookie, now()).
+class TimerLogClient : public Client {
+ public:
+  explicit TimerLogClient(std::vector<std::pair<Tick, std::uint64_t>> timers)
+      : timers_(std::move(timers)) {}
+  bool next_packet(topo::Rank node, InjectDesc&) override {
+    if (node == 0 && !armed_) {
+      armed_ = true;
+      for (const auto& [delay, cookie] : timers_) fabric->schedule_timer(0, delay, cookie);
+    }
+    return false;
+  }
+  void on_delivery(topo::Rank, const Packet&) override {}
+  void on_timer(topo::Rank, std::uint64_t cookie) override {
+    fired.emplace_back(cookie, fabric->now());
+  }
+
+  Fabric* fabric = nullptr;
+  std::vector<std::pair<std::uint64_t, Tick>> fired;
+
+ private:
+  std::vector<std::pair<Tick, std::uint64_t>> timers_;
+  bool armed_ = false;
+};
+
+TEST(FabricApi, TimersFireInTickOrderToQuiescence) {
+  for (const int threads : {1, 2}) {
+    auto config = make_config("4x1x1");
+    config.sim_threads = threads;
+    TimerLogClient client({{5, 1}, {2, 2}});
+    Fabric fabric(config, client);
+    client.fabric = &fabric;
+    ASSERT_EQ(fabric.effective_sim_threads(), threads);
+    EXPECT_TRUE(fabric.run()) << threads << " thread(s)";
+    ASSERT_EQ(client.fired.size(), 2u) << threads << " thread(s)";
+    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{2}, Tick{2}));
+    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{1}, Tick{5}));
+  }
+}
+
+TEST(FabricApi, DeadlineStopsBeforeLaterTimersAndRunResumes) {
+  for (const int threads : {1, 2}) {
+    auto config = make_config("4x1x1");
+    config.sim_threads = threads;
+    TimerLogClient client({{10, 1}, {1000, 2}});
+    Fabric fabric(config, client);
+    client.fabric = &fabric;
+    ASSERT_EQ(fabric.effective_sim_threads(), threads);
+    EXPECT_FALSE(fabric.run(100)) << threads << " thread(s)";
+    ASSERT_EQ(client.fired.size(), 1u) << threads << " thread(s)";
+    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{1}, Tick{10}));
+    // The later timer is still pending and fires on the next run.
+    EXPECT_TRUE(fabric.run()) << threads << " thread(s)";
+    ASSERT_EQ(client.fired.size(), 2u) << threads << " thread(s)";
+    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2}, Tick{1000}));
+  }
 }
 
 /// Floods one FIFO so occupancy queries have something to see.

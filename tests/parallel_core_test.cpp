@@ -1,14 +1,15 @@
 // Slab-parallel simulator core and the bugfix-sweep regressions that ride
 // with it:
-//  - Engine strict mode aborts on past-due schedule() calls instead of
-//    silently clamping (the default still clamps).
+//  - Fabric::post aborts on past-due events under debug_checks instead of
+//    silently clamping (the default still clamps), on one slab and many.
 //  - A multi-threaded run preserves the per-pair delivery matrix and the
-//    delivered packet/byte totals of the single-threaded reference exactly,
-//    and is deterministic for a fixed (seed, threads).
+//    delivered packet/byte totals of the one-slab reference exactly, and is
+//    deterministic for a fixed (seed, threads).
 //  - Fault runs are parallel-eligible (counter-based fault draws, slab-owned
-//    fault state); the remaining ineligible configurations (legacy clients,
-//    cross-node extra_deps) fall back to the reference engine and report
-//    sim_threads == 1 with the cause in sim_threads_reason.
+//    fault state); the remaining ineligible configurations (cross-node
+//    extra_deps, shapes whose widest axis has extent 1) run on one slab and
+//    report sim_threads == 1 with the cause in sim_threads_reason.
+//  - Outside run(), now() and kick() act on the real slabs.
 //  - A delayed permanent strike (fail_at > 0) is planned blind, quiesces
 //    without tripping the watchdog, and reports the relay payload stranded
 //    in dead custodians.
@@ -18,49 +19,72 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
 #include "src/coll/registry.hpp"
 #include "src/coll/schedule.hpp"
 #include "src/network/fabric.hpp"
-#include "src/sim/engine.hpp"
 
 namespace bgl::coll {
 namespace {
 
-// --- Engine strict mode ----------------------------------------------------
+// --- past-due strictness ---------------------------------------------------
 
-/// Handler that reacts to a type-0 event by scheduling a type-1 event at
-/// half its time — past-due once the type-0 event has fired.
-struct PastDueHandler : sim::EventHandler {
-  sim::Engine* engine = nullptr;
-  std::vector<sim::Tick> fired;
-  void handle(const sim::Event& event) override {
-    fired.push_back(event.time);
-    if (event.type == 0) engine->schedule(event.time / 2, 1);
+/// Node 0 arms a timer for tick 100; its handler arms a second timer whose
+/// delay wraps now() + delay to now() - 1, i.e. into the past.
+class WrappingTimerClient : public net::Client {
+ public:
+  bool next_packet(topo::Rank node, net::InjectDesc&) override {
+    if (node == 0 && !armed_) {
+      armed_ = true;
+      fabric->schedule_timer(0, 100, /*cookie=*/1);
+    }
+    return false;
   }
+  void on_delivery(topo::Rank, const net::Packet&) override {}
+  void on_timer(topo::Rank node, std::uint64_t cookie) override {
+    fired.emplace_back(cookie, fabric->now());
+    if (cookie == 1) fabric->schedule_timer(node, ~net::Tick{0}, /*cookie=*/2);
+  }
+
+  net::Fabric* fabric = nullptr;
+  std::vector<std::pair<std::uint64_t, net::Tick>> fired;
+
+ private:
+  bool armed_ = false;
 };
 
-TEST(EngineStrict, PastDueScheduleThrows) {
-  PastDueHandler handler;
-  sim::Engine engine(handler);
-  handler.engine = &engine;
-  engine.set_strict(true);
-  engine.schedule(100, 0);
-  EXPECT_THROW(engine.run(), std::logic_error);
+net::NetworkConfig strict_config(int threads, bool debug_checks) {
+  net::NetworkConfig config;
+  config.shape = topo::parse_shape("4x1x1");
+  config.sim_threads = threads;
+  config.debug_checks = debug_checks;
+  return config;
 }
 
-TEST(EngineStrict, PastDueScheduleClampsByDefault) {
-  PastDueHandler handler;
-  sim::Engine engine(handler);
-  handler.engine = &engine;
-  engine.schedule(100, 0);
-  EXPECT_TRUE(engine.run());
-  // The past-due event fired, clamped to the scheduling instant.
-  ASSERT_EQ(handler.fired.size(), 2u);
-  EXPECT_EQ(handler.fired[0], 100u);
-  EXPECT_EQ(handler.fired[1], 100u);
+TEST(FabricStrict, PastDueTimerThrowsUnderDebugChecks) {
+  for (const int threads : {1, 2}) {
+    WrappingTimerClient client;
+    net::Fabric fabric(strict_config(threads, /*debug_checks=*/true), client);
+    client.fabric = &fabric;
+    ASSERT_EQ(fabric.effective_sim_threads(), threads);
+    EXPECT_THROW(fabric.run(), std::logic_error) << threads << " thread(s)";
+  }
+}
+
+TEST(FabricStrict, PastDueTimerClampsByDefault) {
+  for (const int threads : {1, 2}) {
+    WrappingTimerClient client;
+    net::Fabric fabric(strict_config(threads, /*debug_checks=*/false), client);
+    client.fabric = &fabric;
+    EXPECT_TRUE(fabric.run());
+    // The past-due timer fired, clamped to the scheduling instant.
+    ASSERT_EQ(client.fired.size(), 2u) << threads << " thread(s)";
+    EXPECT_EQ(client.fired[0], std::make_pair(std::uint64_t{1}, net::Tick{100}));
+    EXPECT_EQ(client.fired[1], std::make_pair(std::uint64_t{2}, net::Tick{100}));
+  }
 }
 
 // --- multi-threaded equivalence and determinism ----------------------------
@@ -86,7 +110,7 @@ TEST_P(ParallelEquivalence, DeliveryMatrixMatchesSingleThread) {
   ASSERT_TRUE(a.drained);
   ASSERT_TRUE(b.drained);
   EXPECT_EQ(a.sim_threads, 1);
-  EXPECT_EQ(b.sim_threads, 4) << "parallel run fell back to the reference engine";
+  EXPECT_EQ(b.sim_threads, 4) << "parallel run fell back to one slab";
   // Timing may shift across slab boundaries; what was delivered may not.
   EXPECT_EQ(a.packets_delivered, b.packets_delivered);
   EXPECT_EQ(a.payload_bytes, b.payload_bytes);
@@ -152,6 +176,66 @@ TEST(ParallelCore, FallbackReasonNamesCrossNodeDeps) {
   ASSERT_TRUE(r.drained);
   EXPECT_EQ(r.sim_threads, 1);
   EXPECT_EQ(r.sim_threads_reason, net::ThreadFallbackReason::kCrossNodeDeps);
+}
+
+/// Never injects: a run only primes and drains the cores.
+class IdleClient : public net::Client {
+ public:
+  bool next_packet(topo::Rank, net::InjectDesc&) override { return false; }
+  void on_delivery(topo::Rank, const net::Packet&) override {}
+};
+
+TEST(ParallelCore, NarrowShapeReasonSurvivesRun) {
+  // A single node has no axis to cut; the reason must name the shape both
+  // before and after run(), not some state the run left behind.
+  net::NetworkConfig config;
+  config.shape = topo::parse_shape("1x1x1");
+  config.sim_threads = 4;
+  IdleClient client;
+  net::Fabric fabric(config, client);
+  EXPECT_EQ(fabric.sim_threads_reason(), net::ThreadFallbackReason::kNarrowShape);
+  EXPECT_TRUE(fabric.run());
+  EXPECT_EQ(fabric.sim_threads_reason(), net::ThreadFallbackReason::kNarrowShape);
+  EXPECT_EQ(fabric.effective_sim_threads(), 1);
+}
+
+/// Node 0 floods node 3 over the ring's wrap link, which joins the two slabs
+/// of a 2-slab 4x1x1 cut.
+class FloodClient : public net::Client {
+ public:
+  bool next_packet(topo::Rank node, net::InjectDesc& out) override {
+    if (node != 0 || remaining_ == 0) return false;
+    --remaining_;
+    out.dst = 3;
+    out.wire_chunks = 8;
+    out.payload_bytes = 240;
+    return true;
+  }
+  void on_delivery(topo::Rank, const net::Packet&) override { ++delivered; }
+  int delivered = 0;
+
+ private:
+  int remaining_ = 40;
+};
+
+TEST(ParallelCore, NowAndKickUseSlabsOutsideRun) {
+  for (const int threads : {1, 2}) {
+    net::NetworkConfig config;
+    config.shape = topo::parse_shape("4x1x1");
+    config.sim_threads = threads;
+    FloodClient client;
+    net::Fabric fabric(config, client);
+    ASSERT_EQ(fabric.effective_sim_threads(), threads);
+    EXPECT_FALSE(fabric.run(3000));
+    // Between runs now() reads the slabs' clocks.
+    EXPECT_GE(fabric.now(), 2000u) << threads << " thread(s)";
+    EXPECT_LE(fabric.now(), 3000u) << threads << " thread(s)";
+    // kick() posts into the slab wheels, which the next run() executes.
+    fabric.kick();
+    EXPECT_TRUE(fabric.run());
+    EXPECT_EQ(client.delivered, 40) << threads << " thread(s)";
+    EXPECT_EQ(fabric.packets_in_network(), 0);
+  }
 }
 
 TEST(ParallelCore, EveryRegistryStrategyRunsOnTheParallelEngine) {
