@@ -151,8 +151,8 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
 // permanent strike (dead links or nodes landing mid-run) with recovery
 // enabled. Drop/corruption-only fault configs are repaired inline by the
 // reliability layer and never re-plan.
-bool recovery_armed(const AlltoallOptions& options, const net::NetworkConfig& net,
-                    const net::FaultPlan& plan, bool blind_strike) {
+bool recovery_armed(const AlltoallOptions& options, const net::FaultPlan& plan,
+                    bool blind_strike) {
   return options.recover && blind_strike &&
          (plan.dead_link_count() > 0 || plan.dead_node_count() > 0);
 }
@@ -194,7 +194,7 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
   }
 
   // Epoch recovery needs the per-pair ledger to compute its residual.
-  const bool recover = recovery_armed(options, net, plan, blind_strike);
+  const bool recover = recovery_armed(options, plan, blind_strike);
 
   // Delivery recording: the caller's matrix, or an internal one when only
   // the RunResult summary is wanted (or recovery may trigger).
@@ -233,7 +233,7 @@ RunResult run_schedule(CommSchedule schedule, const AlltoallOptions& options,
   const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
   const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
 
-  const bool recover = recovery_armed(options, net, plan, blind_strike);
+  const bool recover = recovery_armed(options, plan, blind_strike);
 
   std::optional<DeliveryMatrix> local_matrix;
   DeliveryMatrix* matrix = options.deliveries;

@@ -603,8 +603,13 @@ void Fabric::pump_cpu(Shard& shard, Rank node) {
 }
 
 bool Fabric::try_inject(Shard& shard, Rank node, const InjectDesc& desc) {
-  if (faults_active_ && shard.struck &&
-      !fault_plan_.pair_routable(node, desc.dst, desc.mode, &shard.route_memo)) {
+  // One routability probe per injection; once struck, tie resolutions whose
+  // minimal DAG is severed by permanent faults are steered away from.
+  const FaultPlan::PairRoute route =
+      faults_active_ && shard.struck
+          ? fault_plan_.route_pair(node, desc.dst, desc.mode, &shard.route_memo)
+          : fault_plan_.minimal_route(node, desc.dst, desc.mode);
+  if (!route.routable) {
     // No live minimal path can ever deliver this packet. Consume the
     // descriptor (the core still pays its injection cost) and count it,
     // rather than letting an undeliverable packet wedge a FIFO forever.
@@ -627,26 +632,9 @@ bool Fabric::try_inject(Shard& shard, Rank node, const InjectDesc& desc) {
   packet.checksum = desc.checksum;
   packet.attempt = desc.attempt;
 
-  if (faults_active_ && shard.struck) {
-    // Same tie-coin draw as below, but steered away from tie resolutions
-    // whose minimal DAG is severed by permanent faults.
-    packet.hops = fault_plan_.choose_hops(node, desc.dst, desc.mode,
-                                          [&shard] { return shard.rng.coin(); },
-                                          &shard.route_memo);
-  } else {
-    const topo::Coord from = torus_.coord_of(node);
-    const topo::Coord to = torus_.coord_of(desc.dst);
-    for (int a = 0; a < torus_.axis_count(); ++a) {
-      int signed_hops = torus_.hops_signed(from[a], to[a], a);
-      // A half-way destination on an even torus ring is reachable both ways;
-      // random choice balances the two directions across the all-to-all.
-      if (signed_hops != 0 && torus_.is_halfway_tie(from[a], to[a], a) &&
-          shard.rng.coin()) {
-        signed_hops = -signed_hops;
-      }
-      packet.hops[static_cast<std::size_t>(a)] = static_cast<std::int16_t>(signed_hops);
-    }
-  }
+  // A half-way destination on an even torus ring is reachable both ways;
+  // random choice balances the two directions across the all-to-all.
+  packet.hops = fault_plan_.choose_hops(route, shard.rng, &shard.route_memo);
   assert(!packet.at_destination());
 
   fifo_free_[fid] -= desc.wire_chunks;

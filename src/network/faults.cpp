@@ -1,7 +1,9 @@
 #include "src/network/faults.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "src/util/cli.hpp"
@@ -9,6 +11,9 @@
 
 namespace bgl::net {
 namespace {
+
+// RouteMemo entries.
+enum : std::uint8_t { kRouteUnknown, kRouteDead, kRouteLive };
 
 [[noreturn]] void spec_error(const std::string& detail) {
   throw std::runtime_error("option --faults: " + detail);
@@ -105,6 +110,11 @@ FaultPlan::FaultPlan(const NetworkConfig& config, const topo::Shape& shape)
 
   const std::size_t links = static_cast<std::size_t>(torus_.nodes()) *
                             static_cast<std::size_t>(torus_.directions());
+  for (int axis = 0; axis < torus_.axis_count(); ++axis) {
+    const auto ax = static_cast<std::size_t>(axis);
+    route_half_[ax] = shape.wrap[ax] ? shape.dim[ax] / 2 : shape.dim[ax] - 1;
+    route_span_ *= static_cast<std::size_t>(2 * route_half_[ax] + 1);
+  }
   link_state_.assign(links, static_cast<std::uint8_t>(LinkHealth::kUp));
   node_dead_.assign(static_cast<std::size_t>(torus_.nodes()), 0);
 
@@ -210,13 +220,24 @@ FaultPlan::FaultPlan(const NetworkConfig& config, const topo::Shape& shape)
 bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode,
                            RouteMemo* memo) const {
   if (!node_alive(node)) return false;
-  if (hops[0] == 0 && hops[1] == 0 && hops[2] == 0 && hops[3] == 0) return true;
+  if (hops == HopVec{}) return true;
 
-  RouteMemo& cache = memo != nullptr ? *memo : route_memo_;
-  const RouteKey key{node, static_cast<std::uint8_t>(mode), hops};
-  if (const auto it = cache.find(key); it != cache.end()) {
-    return it->second;
+  std::vector<std::uint8_t>& table =
+      (memo != nullptr ? *memo : route_memo_).tables_[static_cast<std::size_t>(mode)];
+  if (table.empty()) {
+    table.assign(static_cast<std::size_t>(torus_.nodes()) * route_span_, kRouteUnknown);
   }
+  // node*H + sum_a (h_a + half_a)*stride_a by Horner's rule, last axis first.
+  std::size_t index = static_cast<std::size_t>(node);
+  for (int axis = torus_.axis_count() - 1; axis >= 0; --axis) {
+    const auto ax = static_cast<std::size_t>(axis);
+    assert(std::abs(hops[ax]) <= route_half_[ax]);
+    index = index * static_cast<std::size_t>(2 * route_half_[ax] + 1) +
+            static_cast<std::size_t>(hops[ax] + route_half_[ax]);
+  }
+  // The table is sized before the recursion below, so `entry` stays valid.
+  std::uint8_t& entry = table[index];
+  if (entry != kRouteUnknown) return entry == kRouteLive;
 
   bool live = false;
   for (int axis = 0; axis < torus_.axis_count() && !live; ++axis) {
@@ -234,93 +255,43 @@ bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode
     // unfinished axis may move.
     if (mode == RoutingMode::kDeterministic) break;
   }
-  cache.emplace(key, live);
+  entry = live ? kRouteLive : kRouteDead;
   return live;
 }
 
-bool FaultPlan::pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                              RouteMemo* memo) const {
-  if (!enabled_) return true;
-  if (!node_alive(src) || !node_alive(dst)) return false;
-  if (src == dst) return true;
-
+FaultPlan::PairRoute FaultPlan::minimal_route(topo::Rank src, topo::Rank dst,
+                                              RoutingMode mode) const noexcept {
   const topo::Coord a = torus_.coord_of(src);
   const topo::Coord b = torus_.coord_of(dst);
-  const int axes = torus_.axis_count();
-  HopVec hops{};
-  std::array<bool, topo::kMaxAxes> tie{};
-  for (int axis = 0; axis < axes; ++axis) {
-    hops[static_cast<std::size_t>(axis)] =
+  PairRoute route;
+  route.src = src;
+  route.mode = mode;
+  for (int axis = 0; axis < torus_.axis_count(); ++axis) {
+    route.hops[static_cast<std::size_t>(axis)] =
         static_cast<std::int16_t>(torus_.hops_signed(a[axis], b[axis], axis));
-    tie[static_cast<std::size_t>(axis)] = torus_.is_halfway_tie(a[axis], b[axis], axis);
-  }
-  // Try every sign assignment of the half-way tie axes: a pair is routable
-  // when any minimal path under any legal tie resolution survives.
-  for (int combo = 0; combo < (1 << axes); ++combo) {
-    auto trial = hops;
-    bool valid = true;
-    for (int axis = 0; axis < axes; ++axis) {
-      const bool flip = (combo >> axis) & 1;
-      if (flip && !tie[static_cast<std::size_t>(axis)]) {
-        valid = false;
-        break;
-      }
-      if (flip) {
-        trial[static_cast<std::size_t>(axis)] =
-            static_cast<std::int16_t>(-trial[static_cast<std::size_t>(axis)]);
-      }
+    if (torus_.is_halfway_tie(a[axis], b[axis], axis)) {
+      route.ties = static_cast<std::uint8_t>(route.ties | (1u << axis));
     }
-    if (valid && route_live(src, trial, mode, memo)) return true;
   }
-  return false;
+  return route;
 }
 
-HopVec FaultPlan::choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                              const std::function<bool()>& coin,
-                              RouteMemo* memo) const {
-  const topo::Coord a = torus_.coord_of(src);
-  const topo::Coord b = torus_.coord_of(dst);
-  const int axes = torus_.axis_count();
-  HopVec hops{};
-  std::array<bool, topo::kMaxAxes> tie{};
-  bool any_tie = false;
-  for (int axis = 0; axis < axes; ++axis) {
-    hops[static_cast<std::size_t>(axis)] =
-        static_cast<std::int16_t>(torus_.hops_signed(a[axis], b[axis], axis));
-    tie[static_cast<std::size_t>(axis)] = torus_.is_halfway_tie(a[axis], b[axis], axis);
-    any_tie = any_tie || tie[static_cast<std::size_t>(axis)];
-  }
-  if (!any_tie) return hops;
-
-  // Draw the tie coins the same way the fault-free injector does, then keep
-  // the draw only if it leads somewhere; otherwise fall back to the first
-  // live tie resolution in a fixed enumeration order.
-  auto preferred = hops;
-  for (int axis = 0; axis < axes; ++axis) {
-    if (tie[static_cast<std::size_t>(axis)] && coin()) {
-      preferred[static_cast<std::size_t>(axis)] =
-          static_cast<std::int16_t>(-preferred[static_cast<std::size_t>(axis)]);
+FaultPlan::PairRoute FaultPlan::route_pair(topo::Rank src, topo::Rank dst,
+                                           RoutingMode mode, RouteMemo* memo) const {
+  PairRoute route = minimal_route(src, dst, mode);
+  if (!enabled_) return route;
+  // Try every sign assignment of the half-way tie axes: a pair is routable
+  // when any minimal path under any legal tie resolution survives.
+  route.routable = false;
+  for (int flips = 0; flips < (1 << torus_.axis_count()); ++flips) {
+    if ((flips & ~route.ties) != 0) continue;
+    if (route_live(src, flip_axes(route.hops, flips), mode, memo)) {
+      route.routable = true;
+      route.fallback = static_cast<std::int8_t>(flips);
+      break;
     }
   }
-  if (!enabled_ || route_live(src, preferred, mode, memo)) return preferred;
-  for (int combo = 0; combo < (1 << axes); ++combo) {
-    auto trial = hops;
-    bool valid = true;
-    for (int axis = 0; axis < axes; ++axis) {
-      const bool flip = (combo >> axis) & 1;
-      if (flip && !tie[static_cast<std::size_t>(axis)]) {
-        valid = false;
-        break;
-      }
-      if (flip) {
-        trial[static_cast<std::size_t>(axis)] =
-            static_cast<std::int16_t>(-trial[static_cast<std::size_t>(axis)]);
-      }
-    }
-    if (valid && route_live(src, trial, mode, memo)) return trial;
-  }
-  // No live resolution: return the coin draw; callers gate on pair_routable.
-  return preferred;
+  return route;
 }
 
 }  // namespace bgl::net

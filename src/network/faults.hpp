@@ -21,9 +21,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/network/config.hpp"
@@ -88,34 +86,43 @@ struct TransientOutage {
 
 class FaultPlan {
  public:
-  // Memo key for route_live: exact-match (node, mode, hop vector). A packed
-  // uint64 no longer fits now that hops are 4 x int16, so the key hashes
-  // FNV-1a over its bytes and compares exactly (no collision risk).
-  struct RouteKey {
-    topo::Rank node = 0;
-    std::uint8_t mode = 0;
-    HopVec hops{0, 0, 0, 0};
-    friend bool operator==(const RouteKey&, const RouteKey&) = default;
-  };
-  struct RouteKeyHash {
-    std::size_t operator()(const RouteKey& k) const noexcept {
-      std::uint64_t h = 1469598103934665603ULL;
-      const auto mix = [&h](std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i) {
-          h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
-        }
-      };
-      mix(static_cast<std::uint32_t>(k.node), 4);
-      mix(k.mode, 1);
-      for (const auto hop : k.hops) mix(static_cast<std::uint16_t>(hop), 2);
-      return static_cast<std::size_t>(h);
+  /// Routability memo for route_live, one byte per (node, minimal hop
+  /// vector) and routing mode: 0 unknown, 1 dead, 2 live. Minimal hops on
+  /// axis a lie in [-half_a, half_a] (half_a = k_a/2 on a ring, k_a - 1 on a
+  /// mesh), so the entry sits at node*H + sum_a (h_a + half_a)*stride_a with
+  /// H = prod_a (2 half_a + 1). A mode's N*H-byte table (28.8 KB on 8x4x4,
+  /// 373 KB on 8x8x8, 20 MB on 16x16x16) is allocated on its first query.
+  /// The plan keeps an internal memo for single-threaded callers; parallel
+  /// slabs pass their own (the oracle is a pure function of immutable plan
+  /// state, so per-slab memos answer identically).
+  class RouteMemo {
+   public:
+    /// Forgets every answer and releases the tables.
+    void clear() noexcept { tables_ = {}; }
+    /// Bytes of table storage held (0 until the first query).
+    std::size_t bytes() const noexcept {
+      return tables_[0].capacity() + tables_[1].capacity();
     }
+
+   private:
+    friend class FaultPlan;
+    std::array<std::vector<std::uint8_t>, 2> tables_;  // indexed by RoutingMode
   };
-  /// Routability memo. The plan keeps an internal one for single-threaded
-  /// callers; parallel workers pass their own shard-owned memo instead (the
-  /// oracle itself is a pure function of immutable plan state, so per-shard
-  /// memos answer identically — only the caching is sharded).
-  using RouteMemo = std::unordered_map<RouteKey, bool, RouteKeyHash>;
+
+  /// The routability probe injection makes for (src, dst), before it knows
+  /// whether the FIFO has room: the minimal hop vector with half-way ties
+  /// taken toward +, the tie axes, and whether any tie resolution leaves a
+  /// live minimal path.
+  struct PairRoute {
+    topo::Rank src = 0;
+    RoutingMode mode = RoutingMode::kAdaptive;
+    HopVec hops{0, 0, 0, 0};
+    std::uint8_t ties = 0;  // bit a: axis a is a half-way tie
+    bool routable = true;
+    /// First live tie-flip mask in ascending mask order, the resolution
+    /// choose_hops falls back to; -1 keeps whatever the coins draw.
+    std::int8_t fallback = -1;
+  };
 
   FaultPlan() = default;
 
@@ -157,22 +164,45 @@ class FaultPlan {
   /// True when a packet at `node` with remaining signed hops `hops` can
   /// still reach its destination over live links and nodes under `mode`
   /// (adaptive: any live path in the minimal DAG; deterministic: the single
-  /// dimension-order path). Memoized in `memo` when given, else in the
-  /// plan's internal (not thread-safe) memo; call only on plans with faults.
+  /// dimension-order path). `hops` must be minimal. Memoized in `memo` when
+  /// given, else in the plan's internal (not thread-safe) memo; call only on
+  /// plans with faults.
   bool route_live(topo::Rank node, const HopVec& hops, RoutingMode mode,
                   RouteMemo* memo = nullptr) const;
 
-  /// True when (src, dst) is deliverable under `mode`: both endpoints are
-  /// alive and some choice of half-way tie directions yields a live minimal
-  /// path. Always true on a disabled plan (src != dst assumed).
-  bool pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                     RouteMemo* memo = nullptr) const;
+  /// Geometry of (src, dst) alone: the minimal hops and tie axes, routable,
+  /// no fallback. Injection uses it while the fault state is not consultable.
+  PairRoute minimal_route(topo::Rank src, topo::Rank dst, RoutingMode mode) const noexcept;
 
-  /// Signed hop vector for (src, dst) with half-way ties resolved toward a
-  /// live route when possible; ambiguous live ties are broken with `coin`.
-  HopVec choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                     const std::function<bool()>& coin,
-                     RouteMemo* memo = nullptr) const;
+  /// minimal_route plus the oracle: routable when some tie resolution yields
+  /// a live minimal path (so both endpoints are alive), with the first such
+  /// resolution as the fallback. A disabled plan answers minimal_route.
+  PairRoute route_pair(topo::Rank src, topo::Rank dst, RoutingMode mode,
+                       RouteMemo* memo = nullptr) const;
+
+  /// True when (src, dst) is deliverable under `mode`. Always true on a
+  /// disabled plan (src != dst assumed).
+  bool pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
+                     RouteMemo* memo = nullptr) const {
+    return !enabled_ || route_pair(src, dst, mode, memo).routable;
+  }
+
+  /// Signed hop vector for `route`: draws one `rng.coin()` per tie axis, in
+  /// axis order, exactly as on a fault-free network, and keeps that draw
+  /// unless its minimal DAG is severed and `route` has a live fallback.
+  template <class Rng>
+  HopVec choose_hops(const PairRoute& route, Rng& rng, RouteMemo* memo = nullptr) const {
+    int drawn = 0;
+    for (int axis = 0; axis < torus_.axis_count(); ++axis) {
+      if (((route.ties >> axis) & 1) != 0 && rng.coin()) drawn |= 1 << axis;
+    }
+    const HopVec preferred = flip_axes(route.hops, drawn);
+    if (route.fallback < 0 || drawn == route.fallback ||
+        route_live(route.src, preferred, route.mode, memo)) {
+      return preferred;
+    }
+    return flip_axes(route.hops, route.fallback);
+  }
 
   /// Forget memoized routability (call after a permanent fault epoch
   /// change, i.e. when fail_at > 0 strikes).
@@ -190,6 +220,17 @@ class FaultPlan {
   std::size_t degraded_links_ = 0;
   std::size_t dead_nodes_ = 0;
 
+  static HopVec flip_axes(HopVec hops, int mask) noexcept {
+    for (std::size_t axis = 0; axis < hops.size(); ++axis) {
+      if (((mask >> axis) & 1) != 0) hops[axis] = static_cast<std::int16_t>(-hops[axis]);
+    }
+    return hops;
+  }
+
+  // RouteMemo layout: per-axis hop offset half_a, and H, the number of
+  // minimal hop vectors per node.
+  std::array<int, topo::kMaxAxes> route_half_{};
+  std::size_t route_span_ = 1;
   mutable RouteMemo route_memo_;
 };
 
