@@ -1,8 +1,8 @@
 // Many-to-many communication on the simulated torus — the "more complex
 // many-to-many patterns" the paper's introduction hopes its analysis
 // benefits. Uses the library's sparse-pattern API (coll::Pattern /
-// coll::run_many_to_many) to compare the direct transport against TPS-style
-// two-phase routing as the fan-out grows from a halo exchange toward a
+// coll::run_many_to_many) to compare the direct AR transport against the
+// TPS two-phase schedule as the fan-out grows from a halo exchange toward a
 // full all-to-all.
 //
 //   ./many_to_many --shape 8x8x16 --bytes 960 --fanouts 2,8,32
@@ -32,12 +32,13 @@ int main(int argc, char** argv) {
               shape.to_string().c_str(), static_cast<unsigned long long>(bytes));
 
   auto run = [&](const coll::Pattern& pattern, bool two_phase) {
-    coll::ManyToManyOptions options;
+    coll::AlltoallOptions options;
     options.net.shape = shape;
     options.net.seed = seed;
     options.msg_bytes = bytes;
-    options.two_phase = two_phase;
-    const auto result = coll::run_many_to_many(pattern, options);
+    const auto kind =
+        two_phase ? coll::StrategyKind::kTwoPhase : coll::StrategyKind::kAdaptiveRandom;
+    const auto result = coll::run_many_to_many(pattern, kind, options);
     if (!result.drained) std::fprintf(stderr, "warning: run stalled\n");
     return result;
   };
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   const auto halo = coll::Pattern::halo(shape);
   const auto halo_direct = run(halo, false);
   const auto halo_tps = run(halo, true);
-  table.add_row({"6-pt halo", std::to_string(halo_direct.messages),
+  table.add_row({"6-pt halo", std::to_string(halo.total_messages()),
                  util::fmt(halo_direct.elapsed_us, 1), util::fmt(halo_tps.elapsed_us, 1),
                  util::fmt(halo_tps.elapsed_us / halo_direct.elapsed_us, 2),
                  util::fmt(100.0 * halo_direct.links.overall_mean, 1)});
@@ -58,7 +59,8 @@ int main(int argc, char** argv) {
                                                       seed ^ 0xabcd);
     const auto direct = run(pattern, false);
     const auto tps = run(pattern, true);
-    table.add_row({"random k=" + std::to_string(fanout), std::to_string(direct.messages),
+    table.add_row({"random k=" + std::to_string(fanout),
+                   std::to_string(pattern.total_messages()),
                    util::fmt(direct.elapsed_us, 1), util::fmt(tps.elapsed_us, 1),
                    util::fmt(tps.elapsed_us / direct.elapsed_us, 2),
                    util::fmt(100.0 * direct.links.overall_mean, 1)});

@@ -54,13 +54,11 @@ net::NetworkConfig effective_net(const AlltoallOptions& options) {
   return net;
 }
 
-// Shared back half of run_alltoall/run_schedule: the slab-parallel
-// eligibility gate, the reliability wrapper, the fabric run and the
-// RunResult bookkeeping.
+// Back half of the run path: the slab-parallel eligibility gate, the
+// reliability wrapper, the fabric run and the RunResult bookkeeping.
 RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
                      const AlltoallOptions& options, const net::FaultPlan& plan,
-                     const net::FaultPlan* faults, DeliveryMatrix* matrix,
-                     const std::string& label) {
+                     const net::FaultPlan* faults, DeliveryMatrix* matrix) {
   // Eligibility gate for the slab-parallel core (see DESIGN.md "Threading
   // model"). Fault runs are parallel-eligible now that every stochastic
   // fault decision is counter-based and fault state is slab-owned; what
@@ -101,7 +99,6 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
   RunResult result;
   result.drained = fabric.run(deadline);
   result.timed_out = fabric.aborted();
-  result.strategy = label;
   result.shape = net.shape;
   result.msg_bytes = options.msg_bytes;
   result.elapsed_cycles = client.completion_cycles();
@@ -124,14 +121,18 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
   if (net.collect_link_stats) {
     result.links = trace::summarize_links(fabric, result.elapsed_cycles);
   }
+  // Reachability is only non-trivial under faults or a claimed coverage
+  // mask, which no fault-free all-to-all schedule carries.
+  if (faults != nullptr || client.schedule().covered.nodes() != 0) {
+    result.reachable = PairMask(static_cast<std::int32_t>(net.shape.nodes()));
+    client.mark_reachable(result.reachable);
+    result.unreachable_pairs = result.reachable.unreachable_pairs();
+  }
   if (faults != nullptr) {
     result.faults = fabric.fault_stats();
     // Relay payload stranded in the custody of fail-stopped nodes: the part
     // of the delivery shortfall the strike itself explains.
     result.faults.stranded_relay_bytes = client.stranded_relay_bytes(plan);
-    result.reachable = PairMask(static_cast<std::int32_t>(net.shape.nodes()));
-    client.mark_reachable(result.reachable);
-    result.unreachable_pairs = result.reachable.unreachable_pairs();
     if (reliable.has_value()) {
       result.reliability = reliable->stats();
       result.abandoned_pairs = reliable->abandoned_pairs().size();
@@ -157,8 +158,9 @@ bool recovery_armed(const AlltoallOptions& options, const net::FaultPlan& plan,
          (plan.dead_link_count() > 0 || plan.dead_node_count() > 0);
 }
 
-// Epoch recovery after the struck epoch-0 run, shared by both entry points.
-void maybe_recover(RunResult& result, StrategyClient& client,
+// Epoch recovery after the struck epoch-0 run. Only the pairs the schedule
+// claims are owed, so a sparse pattern is never topped up to an all-to-all.
+void maybe_recover(RunResult& result, const ScheduleExecutor& client,
                    const AlltoallOptions& options, const net::NetworkConfig& net,
                    const net::FaultPlan& plan, DeliveryMatrix* matrix) {
   // A wedged or killed epoch 0 never recovers: its ledger is mid-flight
@@ -166,12 +168,15 @@ void maybe_recover(RunResult& result, StrategyClient& client,
   if (matrix == nullptr || !result.drained || result.timed_out) return;
   std::vector<StrandedRelay> stranded;
   client.collect_stranded(plan, stranded);
-  recover_epochs(result, options, net, plan, *matrix, stranded);
+  recover_epochs(result, options, net, plan, *matrix, stranded,
+                 client.schedule().covered);
 }
 
 }  // namespace
 
-RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
+namespace detail {
+
+RunResult run_planned(const AlltoallOptions& options, const SchedulePlanner& plan_schedule) {
   net::NetworkConfig net = effective_net(options);
 
   // One plan, shared by planning (here), the Fabric (which expands its own
@@ -180,18 +185,14 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
   const net::FaultPlan plan(net, net.shape);
   const net::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
 
-  // A delayed strike (fail_at > 0) is invisible to planning: schedules and
-  // clients are built as if the network were healthy, because at plan time it
-  // *is* — nobody may steer around faults that have not happened. The fabric
-  // flips perm_faults_struck() when the strike lands; the resulting shortfall
-  // is reported as reachable_complete == false plus the stranded relay-byte
+  // A delayed strike (fail_at > 0) is invisible to planning: schedules are
+  // built as if the network were healthy, because at plan time it *is* —
+  // nobody may steer around faults that have not happened. The fabric flips
+  // perm_faults_struck() when the strike lands; the resulting shortfall is
+  // reported as reachable_complete == false plus the stranded relay-byte
   // count, never silently planned away.
   const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
   const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
-
-  if (kind == StrategyKind::kBest) {
-    kind = select_strategy(net.shape, options.msg_bytes, planning_faults).kind;
-  }
 
   // Epoch recovery needs the per-pair ledger to compute its residual.
   const bool recover = recovery_armed(options, plan, blind_strike);
@@ -205,46 +206,41 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
     matrix = &*local_matrix;
   }
 
+  ScheduleExecutor client(net, plan_schedule(net, planning_faults), matrix,
+                          planning_faults);
+  RunResult result = finish_run(net, client, options, plan, faults, matrix);
+  if (recover) maybe_recover(result, client, options, net, plan, matrix);
+  return result;
+}
+
+}  // namespace detail
+
+RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
   // Build the strategy's declarative schedule and interpret it with the one
   // executor (the equivalence suite pins its behavior to stored goldens).
-  ScheduleExecutor client(
-      net, build_schedule(kind, net, options.msg_bytes, options, planning_faults),
-      matrix, planning_faults);
-
-  RunResult result =
-      finish_run(net, client, options, plan, faults, matrix, strategy_name(kind));
-  if (recover) maybe_recover(result, client, options, net, plan, matrix);
+  RunResult result = detail::run_planned(
+      options, [&](const net::NetworkConfig& net, const net::FaultPlan* planning_faults) {
+        if (kind == StrategyKind::kBest) {
+          kind = select_strategy(net.shape, options.msg_bytes, planning_faults).kind;
+        }
+        return build_schedule(kind, net, options.msg_bytes, options, planning_faults);
+      });
+  result.strategy = strategy_name(kind);
   return result;
 }
 
 RunResult run_schedule(CommSchedule schedule, const AlltoallOptions& options,
                        const std::string& label) {
-  net::NetworkConfig net = effective_net(options);
-  if (schedule.shape != net.shape) {
-    throw std::invalid_argument(
-        "run_schedule: schedule shape " + schedule.shape.to_string() +
-        " does not match network " + net.shape.to_string());
-  }
-
-  const net::FaultPlan plan(net, net.shape);
-  const net::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
-  // As in run_alltoall: a delayed strike is invisible at plan time, so the
-  // executor must not get to steer around faults that have not happened yet.
-  const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
-  const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
-
-  const bool recover = recovery_armed(options, plan, blind_strike);
-
-  std::optional<DeliveryMatrix> local_matrix;
-  DeliveryMatrix* matrix = options.deliveries;
-  if (matrix == nullptr && (options.verify || recover)) {
-    local_matrix.emplace(static_cast<std::int32_t>(net.shape.nodes()));
-    matrix = &*local_matrix;
-  }
-
-  ScheduleExecutor client(net, std::move(schedule), matrix, planning_faults);
-  RunResult result = finish_run(net, client, options, plan, faults, matrix, label);
-  if (recover) maybe_recover(result, client, options, net, plan, matrix);
+  RunResult result = detail::run_planned(
+      options, [&](const net::NetworkConfig& net, const net::FaultPlan*) {
+        if (schedule.shape != net.shape) {
+          throw std::invalid_argument(
+              "run_schedule: schedule shape " + schedule.shape.to_string() +
+              " does not match network " + net.shape.to_string());
+        }
+        return std::move(schedule);
+      });
+  result.strategy = label;
   return result;
 }
 

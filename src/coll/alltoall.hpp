@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/coll/dest_order.hpp"
@@ -165,11 +166,15 @@ struct RunResult {
   net::FaultStats faults{};
   /// End-to-end reliability counters (retransmits, acks, duplicates).
   rt::ReliabilityStats reliability{};
-  /// Ordered pairs the strategy could not serve under the fault plan.
+  /// Ordered pairs the schedule does not serve: unroutable under the fault
+  /// plan, or outside a sparse pattern (run_many_to_many).
   std::uint64_t unreachable_pairs = 0;
   /// Reachable pairs abandoned after the retry budget (0 = full delivery).
   std::uint64_t abandoned_pairs = 0;
-  /// Per-pair reachability (nodes() == 0 when fault-free); combine with
+  /// Per-pair reachability, filled under faults or when the schedule claims
+  /// a coverage mask (nodes() == 0 on a fault-free all-to-all). A sparse
+  /// run marks every pair outside its pattern unreachable too, so only the
+  /// patterned pairs tell fault losses apart. Combine with
   /// AlltoallOptions::deliveries + DeliveryMatrix::complete_reachable.
   PairMask reachable;
   /// Epoch-based recovery accounting (epochs == 1 when no re-plan ran).
@@ -188,6 +193,21 @@ struct CommSchedule;
 /// (burst, linear_axis, ...) are ignored — the schedule already encodes them.
 RunResult run_schedule(CommSchedule schedule, const AlltoallOptions& options,
                        const std::string& label = "synth");
+
+namespace detail {
+
+/// Builds a run's schedule from the effective network config and the fault
+/// plan planning may see (nullptr when fault-free or under a blind strike).
+using SchedulePlanner = std::function<CommSchedule(const net::NetworkConfig& net,
+                                                   const net::FaultPlan* planning_faults)>;
+
+/// The one run path behind run_alltoall, run_schedule and run_many_to_many:
+/// builds the run's FaultPlan once, plans the schedule, executes it under
+/// the reliability layer with delivery recording, and runs epoch recovery
+/// after a blind strike. RunResult::strategy is left for the caller.
+RunResult run_planned(const AlltoallOptions& options, const SchedulePlanner& plan_schedule);
+
+}  // namespace detail
 
 /// Eq. 2 peak time in cycles for an m-byte-per-pair AA on `shape`, counting
 /// the wire chunks of the direct packet format (used as the percent-of-peak

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/topology/torus.hpp"
@@ -48,6 +49,13 @@ class DestOrder {
       affine_ = util::AffinePermutation(static_cast<std::uint64_t>(nodes_), rng);
       use_affine_ = true;
     }
+  }
+
+  /// A shuffled copy of an explicit destination list (a sparse pattern's
+  /// peers); self entries must already be dropped.
+  DestOrder(std::vector<topo::Rank> list, util::Xoshiro256StarStar& rng)
+      : list_(std::move(list)) {
+    rng.shuffle(list_);
   }
 
   /// Number of order positions; positions may yield -1 (self) in affine mode.

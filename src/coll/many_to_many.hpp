@@ -4,25 +4,21 @@
 // techniques ... can also be applied for more complex many-to-many
 // communication patterns").
 //
-// A Pattern lists each node's destinations. Two transports are provided:
-//   - direct: randomized destination order, adaptive or deterministic
-//     routing (the AR/DR machinery applied to a sparse pattern);
-//   - two-phase: the TPS trick applied per message — packets first travel
-//     the chosen linear dimension to an intermediate that shares the
-//     destination's linear coordinate, then are forwarded within the plane,
-//     with the phases in separate injection-FIFO groups.
+// A Pattern lists each node's destinations. It runs as schedule data, not as
+// a separate runtime: build_sparse_schedule takes any ordered-form
+// strategy's CommSchedule (AR, DR, MPI, AR+throttle, or TPS — the two-phase
+// trick applied per message) and replaces each node's destination order
+// with its shuffled pattern list. run_many_to_many executes it on
+// run_alltoall's path, so fault plans, the reliability layer, verification,
+// lint and epoch recovery all apply to sparse patterns.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "src/coll/strategy_client.hpp"
-#include "src/coll/verify.hpp"
-#include "src/network/config.hpp"
-#include "src/runtime/packetizer.hpp"
+#include "src/coll/alltoall.hpp"
+#include "src/coll/schedule.hpp"
 #include "src/topology/torus.hpp"
-#include "src/trace/stats.hpp"
 
 namespace bgl::coll {
 
@@ -45,67 +41,21 @@ struct Pattern {
   static Pattern grid_partners(std::int32_t nodes, int cols);
 };
 
-struct ManyToManyOptions {
-  net::NetworkConfig net{};
-  std::uint64_t msg_bytes = 240;
-  net::RoutingMode mode = net::RoutingMode::kAdaptive;
-  /// Route through TPS-style intermediates instead of directly.
-  bool two_phase = false;
-  int linear_axis = -1;  // -1 = paper rule (two_phase only)
-  double alpha_cycles = 450.0;
-  std::uint32_t forward_cpu_cycles = 200;
-  DeliveryMatrix* deliveries = nullptr;
-};
+/// `kind`'s ordered-stream schedule carrying `pattern`: each node's order is
+/// its pattern list (self entries dropped, shuffled per node from the
+/// config seed), one round whose burst is the whole message, and `covered`
+/// claims exactly the pattern's pairs. Throws std::invalid_argument for a
+/// kind without an ordered form (VMesh, kBest) or a pattern not sized to
+/// the shape.
+CommSchedule build_sparse_schedule(const Pattern& pattern, StrategyKind kind,
+                                   const net::NetworkConfig& net,
+                                   const AlltoallOptions& options,
+                                   const net::FaultPlan* planning_faults);
 
-struct ManyToManyResult {
-  net::Tick elapsed_cycles = 0;
-  double elapsed_us = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t packets_delivered = 0;
-  bool drained = false;
-  trace::LinkReport links;
-};
-
-ManyToManyResult run_many_to_many(const Pattern& pattern, const ManyToManyOptions& options);
-
-/// The fabric client behind run_many_to_many (exposed for tests).
-class SparseClient : public StrategyClient {
- public:
-  SparseClient(const net::NetworkConfig& config, const Pattern& pattern,
-               const ManyToManyOptions& options);
-
-  bool next_packet(topo::Rank node, net::InjectDesc& out) override;
-  void on_delivery(topo::Rank node, const net::Packet& packet) override;
-
-  int linear_axis() const { return linear_axis_; }
-  std::uint64_t expected_final_packets() const { return expected_final_; }
-
- private:
-  struct Forward {
-    topo::Rank final_dst;
-    topo::Rank orig_src;
-    std::uint32_t payload_bytes;
-    std::uint16_t chunks;
-  };
-  struct NodeState {
-    std::vector<topo::Rank> dests;  // shuffled
-    std::uint32_t dest_index = 0;
-    std::uint32_t packet_index = 0;
-    std::deque<Forward> forwards;
-    std::uint8_t fifo_rr1 = 0;
-    std::uint8_t fifo_rr2 = 0;
-  };
-
-  topo::Rank intermediate_for(topo::Rank src, topo::Rank dst) const;
-  std::uint8_t pick_fifo(NodeState& s, bool phase1);
-
-  net::NetworkConfig config_;
-  topo::Torus torus_;
-  ManyToManyOptions options_;
-  int linear_axis_ = -1;
-  std::vector<rt::PacketSpec> packets_;
-  std::vector<NodeState> nodes_;
-  std::uint64_t expected_final_ = 0;
-};
+/// Runs `pattern` with `kind`'s transport through the run_alltoall path.
+/// percent_peak and per_node_mbps are all-to-all metrics and read 0; pairs
+/// outside the pattern count as unreachable in RunResult::reachable.
+RunResult run_many_to_many(const Pattern& pattern, StrategyKind kind,
+                           const AlltoallOptions& options);
 
 }  // namespace bgl::coll

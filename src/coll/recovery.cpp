@@ -69,12 +69,13 @@ bool pair_recoverable(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst
 
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
-                                           const net::FaultPlan& plan) {
+                                           const net::FaultPlan& plan,
+                                           const PairMask& scope) {
   std::vector<ResidualPair> residual;
   const std::int32_t nodes = matrix.nodes();
   for (topo::Rank s = 0; s < nodes; ++s) {
     for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s == d) continue;
+      if (s == d || !scope.reachable(s, d)) continue;
       const std::uint64_t have = matrix.bytes(s, d);
       if (have >= msg_bytes) continue;
       if (!pair_recoverable(plan, s, d)) continue;
@@ -144,7 +145,8 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
 bool recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
                     DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded) {
+                    const std::vector<StrandedRelay>& stranded,
+                    const PairMask& scope) {
   const std::int32_t nodes = matrix.nodes();
   const std::uint64_t msg = options.msg_bytes;
 
@@ -163,7 +165,7 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
   }
 
   // Step 2: the residual the repair epochs owe.
-  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan);
+  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan, scope);
   if (residual.empty() && discarded == 0) return false;
 
   const std::uint64_t owed = residual_bytes(residual);
@@ -206,7 +208,7 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
       result.drained = false;
       break;
     }
-    residual = compute_residual(matrix, msg, plan);
+    residual = compute_residual(matrix, msg, plan, scope);
     if (residual_bytes(residual) >= before) break;  // no progress: stop
   }
 
@@ -228,13 +230,15 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
   result.per_node_mbps =
       result.elapsed_us > 0 ? payload_per_node / result.elapsed_us : 0.0;
 
-  // Post-recovery reachability is the survivors' view: a pair counts
+  // Post-recovery reachability is the survivors' view: an owed pair counts
   // reachable when a repair can still serve it — or when it was already
   // delivered in full before the strike took an endpoint.
   PairMask mask(nodes);
   for (topo::Rank s = 0; s < nodes; ++s) {
     for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s != d && !pair_recoverable(plan, s, d) && matrix.bytes(s, d) != msg) {
+      if (s == d) continue;
+      if (!scope.reachable(s, d) ||
+          (!pair_recoverable(plan, s, d) && matrix.bytes(s, d) != msg)) {
         mask.set_unreachable(s, d);
       }
     }

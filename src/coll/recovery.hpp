@@ -61,10 +61,12 @@ struct ResidualPair {
 };
 
 /// Scans the delivery matrix for recoverable pairs short of `msg_bytes`,
-/// in deterministic (src, dst) order.
+/// in deterministic (src, dst) order. Only pairs `scope` marks reachable are
+/// owed (the run's coverage claim; empty = every pair).
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
-                                           const net::FaultPlan& plan);
+                                           const net::FaultPlan& plan,
+                                           const PairMask& scope = PairMask{});
 
 /// Builds the explicit-form repair schedule delivering exactly `residual`:
 /// one direct adaptive send per pair (payload override = the missing bytes),
@@ -75,15 +77,19 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
                                    std::uint64_t msg_bytes,
                                    const std::vector<ResidualPair>& residual);
 
-/// Post-quiescence epoch orchestration (called by run_alltoall/run_schedule
-/// after the struck epoch-0 run): performs the epoch transition and executes
-/// repair epochs until the residual drains, rewriting `result` in place as
+/// Post-quiescence epoch orchestration (called by the run path after the
+/// struck epoch-0 run): performs the epoch transition and executes repair
+/// epochs until the residual drains, rewriting `result` in place as
 /// described above. `stranded` is epoch 0's itemized dead-custodian ledger
-/// (StrategyClient::collect_stranded). Returns true when an epoch transition
-/// ran; false when the strike left nothing to repair (result untouched).
+/// (ScheduleExecutor::collect_stranded); `scope` is epoch 0's coverage claim
+/// (a sparse pattern's pairs; empty = every pair), and pairs outside it are
+/// neither repaired nor counted reachable. Returns true when an epoch
+/// transition ran; false when the strike left nothing to repair (result
+/// untouched).
 bool recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
                     DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded);
+                    const std::vector<StrandedRelay>& stranded,
+                    const PairMask& scope);
 
 }  // namespace bgl::coll

@@ -49,10 +49,10 @@ topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
 bool CommSchedule::pair_covered(topo::Rank src, topo::Rank dst,
                                 const net::FaultPlan* faults,
                                 net::FaultPlan::RouteMemo* memo) const {
-  if (src == dst) return false;
-  if (faults == nullptr || !faults->enabled()) return true;
-  if (form == StreamForm::kExplicit) {
-    return covered.nodes() == 0 || covered.reachable(src, dst);
+  if (src == dst || !covered.reachable(src, dst)) return false;
+  // An explicit builder's claim already accounts for its fault plan.
+  if (faults == nullptr || !faults->enabled() || form == StreamForm::kExplicit) {
+    return true;
   }
   if (stream.relay == RelayRule::kLinearAxis) {
     return relay_for(src, dst, faults, memo) >= 0;
@@ -143,9 +143,7 @@ std::uint64_t ScheduleExecutor::make_combined_tag(std::uint32_t op_index) {
 ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
                                    CommSchedule schedule, DeliveryMatrix* matrix,
                                    const net::FaultPlan* faults)
-    : config_(config), schedule_(std::move(schedule)) {
-  matrix_ = matrix;
-  faults_ = faults;
+    : config_(config), schedule_(std::move(schedule)), matrix_(matrix), faults_(faults) {
   assert(!schedule_.phases.empty());
   assert(!schedule_.fifo_classes.empty());
 
@@ -284,6 +282,15 @@ void ScheduleExecutor::note_dep_delivery(topo::Rank orig_src, topo::Rank dst,
     }
   }
   dep_watch_.erase(it);
+}
+
+void ScheduleExecutor::note_final_delivery() {
+  final_deliveries_.fetch_add(1, std::memory_order_relaxed);
+  const net::Tick at = fabric_->now();
+  net::Tick seen = completion_.load(std::memory_order_relaxed);
+  while (seen < at &&
+         !completion_.compare_exchange_weak(seen, at, std::memory_order_relaxed)) {
+  }
 }
 
 std::uint8_t ScheduleExecutor::pick_fifo(NodeState& s, std::uint8_t fifo_class,
@@ -574,7 +581,8 @@ void ScheduleExecutor::on_timer(topo::Rank node, std::uint64_t cookie) {
 }
 
 void ScheduleExecutor::mark_reachable(PairMask& mask) const {
-  if (faults_ == nullptr || !faults_->enabled()) return;
+  const bool faulted = faults_ != nullptr && faults_->enabled();
+  if (!faulted && schedule_.covered.nodes() == 0) return;
   for (topo::Rank s = 0; s < mask.nodes(); ++s) {
     for (topo::Rank d = 0; d < mask.nodes(); ++d) {
       if (s != d && !schedule_.pair_covered(s, d, faults_)) {

@@ -1,16 +1,16 @@
-// Communication-schedule IR: one declarative description of an all-to-all
+// Communication-schedule IR: one declarative description of a collective
 // algorithm, interpreted against the fabric by a single ScheduleExecutor.
 //
-// A CommSchedule captures what used to live in five bespoke StrategyClient
-// subclasses: the phase structure (pipelined vs. barrier-gated), the wire
-// shape of each message, the injection-FIFO class discipline, CPU cost
-// parameters, relay rules and credit flow control. Strategies become pure
+// A CommSchedule captures the phase structure (pipelined vs. barrier-gated),
+// the wire shape of each message, the injection-FIFO class discipline, CPU
+// cost parameters, relay rules and credit flow control. Strategies are pure
 // *schedule builders* — functions of (config, msg_bytes, tuning, fault plan)
-// — and the executor handles packetization cursors, store-and-forward
-// relaying, barrier gating and fault-plan filtering in one place. The IR is
-// also statically analyzable: schedule_lint.hpp checks pair coverage,
-// dependency acyclicity, FIFO budgets and relay liveness without running a
-// simulation, and the same transfer enumeration drives the CSV/JSON dumps.
+// — and so are sparse many-to-many patterns (many_to_many.hpp); the executor
+// handles packetization cursors, store-and-forward relaying, barrier gating
+// and fault-plan filtering in one place. The IR is also statically
+// analyzable: schedule_lint.hpp checks pair coverage, dependency
+// acyclicity, FIFO budgets and relay liveness without running a simulation,
+// and the same transfer enumeration drives the CSV/JSON dumps.
 //
 // Two stream forms keep the IR compact at scale:
 //  - kOrdered: per-node generative streams (a DestOrder permutation walked
@@ -36,8 +36,9 @@
 #include <vector>
 
 #include "src/coll/dest_order.hpp"
-#include "src/coll/strategy_client.hpp"
+#include "src/coll/verify.hpp"
 #include "src/network/config.hpp"
+#include "src/network/fabric.hpp"
 #include "src/network/faults.hpp"
 #include "src/runtime/packetizer.hpp"
 #include "src/topology/torus.hpp"
@@ -196,9 +197,12 @@ struct CommSchedule {
   std::vector<SendOp> ops;              // grouped by node, phase-major
   std::vector<std::uint32_t> op_begin;  // nodes + 1 offsets into `ops`
   std::vector<topo::Rank> finalize_pool;
-  /// Pair coverage claimed by the builder under its fault plan (empty =
-  /// every off-diagonal pair). The linter cross-checks this claim against
-  /// the enumerated transfers.
+  // --- either form ---
+  /// Pair coverage claimed by the builder (empty = every off-diagonal
+  /// pair): the pairs a fault-aware explicit builder can still serve, or a
+  /// sparse pattern's pairs. pair_covered honours it in both forms, with or
+  /// without faults, and the linter cross-checks it against the enumerated
+  /// transfers.
   PairMask covered;
 
   // --- barrier gating (explicit form; one BarrierSpec per kLocalBarrier
@@ -254,23 +258,45 @@ struct CommSchedule {
               net::FaultPlan::RouteMemo* memo) const;
 };
 
+/// One unit of relay custody stranded at a fail-stopped node: payload a dead
+/// custodian accepted for (orig_src -> final_dst) and can never re-inject.
+/// The recovery layer re-sources these pairs from their original senders in
+/// a repair epoch (see src/coll/recovery.hpp).
+struct StrandedRelay {
+  topo::Rank orig_src = -1;
+  topo::Rank final_dst = -1;
+  std::uint64_t payload_bytes = 0;
+};
+
 /// Interprets any CommSchedule against the fabric: per-node stream cursors,
 /// FIFO-class rotation, store-and-forward relaying with credit flow control,
 /// barrier gating with the local compute timer, delivery recording and
-/// IR-derived reachability. Wrapped by rt::ReliableClient under faults
-/// exactly like the legacy clients.
-class ScheduleExecutor : public StrategyClient {
+/// IR-derived reachability. The only fabric client a collective runs on;
+/// wrapped by rt::ReliableClient under faults.
+class ScheduleExecutor : public net::Client {
  public:
   ScheduleExecutor(const net::NetworkConfig& config, CommSchedule schedule,
                    DeliveryMatrix* matrix, const net::FaultPlan* faults = nullptr);
+
+  void bind(net::Fabric& fabric) { fabric_ = &fabric; }
 
   bool next_packet(topo::Rank node, net::InjectDesc& out) override;
   void on_delivery(topo::Rank node, const net::Packet& packet) override;
   void on_timer(topo::Rank node, std::uint64_t cookie) override;
 
-  /// Reachability comes from the schedule IR (CommSchedule::pair_covered),
-  /// not from per-strategy logic.
-  void mark_reachable(PairMask& mask) const override;
+  /// Completion time of the collective: the last delivery of *final*
+  /// application data (excludes e.g. credit packets).
+  net::Tick completion_cycles() const { return completion_.load(std::memory_order_relaxed); }
+
+  /// Final application packets delivered so far (for progress checks).
+  std::uint64_t final_deliveries() const {
+    return final_deliveries_.load(std::memory_order_relaxed);
+  }
+
+  /// Clears `mask` bits for pairs the schedule does not carry under the
+  /// fault plan it was constructed with (CommSchedule::pair_covered): a
+  /// no-op when fault-free unless the schedule claims a coverage mask.
+  void mark_reachable(PairMask& mask) const;
 
   /// Relay payload parked in the forward queues of nodes `plan` marks
   /// fail-stopped: accepted into custody, never re-injectable (see
@@ -279,11 +305,15 @@ class ScheduleExecutor : public StrategyClient {
   /// forward queue; an op counts once its phase's barrier opened (the stage
   /// inputs had all arrived), a deliberate lower bound — partially-arrived
   /// stage inputs are not itemizable per origin.
-  std::uint64_t stranded_relay_bytes(const net::FaultPlan& plan) const override;
+  std::uint64_t stranded_relay_bytes(const net::FaultPlan& plan) const;
 
-  /// Itemized view of the same custody (see StrategyClient).
+  /// Itemizes the same custody, one record per stranded (orig_src,
+  /// final_dst) unit, appended to `out` in deterministic order. The epoch-
+  /// recovery layer uses the records to decide which pairs a repair schedule
+  /// must re-source and to account what stays stranded when a pair is
+  /// unrecoverable.
   void collect_stranded(const net::FaultPlan& plan,
-                        std::vector<StrandedRelay>& out) const override;
+                        std::vector<StrandedRelay>& out) const;
 
   const CommSchedule& schedule() const { return schedule_; }
   std::uint64_t credit_packets_sent() const {
@@ -333,6 +363,11 @@ class ScheduleExecutor : public StrategyClient {
     std::deque<topo::Rank> credit_queue;
   };
 
+  // Delivery bookkeeping is thread-safe: under a parallel run concurrent
+  // slabs deliver concurrently. Relaxed ordering suffices (monotone counters,
+  // merged views only read after the run joins).
+  void note_final_delivery();
+
   std::uint8_t pick_fifo(NodeState& s, std::uint8_t fifo_class, std::uint32_t peer_index,
                          std::uint32_t pkt_index);
   bool emit_ordered(topo::Rank node, NodeState& s, net::InjectDesc& out);
@@ -354,6 +389,9 @@ class ScheduleExecutor : public StrategyClient {
 
   net::NetworkConfig config_;
   CommSchedule schedule_;
+  net::Fabric* fabric_ = nullptr;
+  DeliveryMatrix* matrix_ = nullptr;
+  const net::FaultPlan* faults_ = nullptr;  // owned by the run; may be null
   std::vector<NodeState> nodes_;
   /// Barrier index gating each phase (-1 = ungated), derived from
   /// schedule_.barriers; arrivals of phase p arm barrier_of_phase_[p + 1].
@@ -378,6 +416,8 @@ class ScheduleExecutor : public StrategyClient {
   /// Transfers other transfers wait on, keyed by pair; bytes_left counts the
   /// watched transfer's outstanding final-delivery payload.
   std::unordered_map<std::uint64_t, DepWatch> dep_watch_;
+  std::atomic<net::Tick> completion_{0};
+  std::atomic<std::uint64_t> final_deliveries_{0};
   std::atomic<std::uint64_t> credit_packets_{0};
   std::atomic<std::size_t> max_forward_backlog_{0};
 };

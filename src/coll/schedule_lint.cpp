@@ -12,7 +12,12 @@ void add(LintReport& report, const char* check, std::string message) {
 }
 
 std::string pair_str(topo::Rank s, topo::Rank d) {
-  return "(" + std::to_string(s) + " -> " + std::to_string(d) + ")";
+  std::string out = "(";
+  out += std::to_string(s);
+  out += " -> ";
+  out += std::to_string(d);
+  out += ')';
+  return out;
 }
 
 /// Structural well-formedness; returns false when the schedule is too broken
@@ -150,10 +155,10 @@ bool check_structure(const CommSchedule& sched, LintReport& report) {
         safe = false;
       }
     }
-    if (sched.covered.nodes() != 0 && sched.covered.nodes() != sched.nodes()) {
-      add(report, "structure", "coverage mask not sized to the node count");
-      safe = false;
-    }
+  }
+  if (sched.covered.nodes() != 0 && sched.covered.nodes() != sched.nodes()) {
+    add(report, "structure", "coverage mask not sized to the node count");
+    safe = false;
   }
   return safe;
 }

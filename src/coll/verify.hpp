@@ -16,10 +16,11 @@
 
 namespace bgl::coll {
 
-/// Which ordered (src, dst) pairs a strategy can still serve under the run's
-/// fault plan. Default-constructed (or nodes() == 0) means "everything
-/// reachable" — the fault-free case costs nothing. Strategies fill it via
-/// StrategyClient::mark_reachable.
+/// Which ordered (src, dst) pairs a schedule serves under the run's fault
+/// plan (and, for a sparse pattern, which pairs it covers at all).
+/// Default-constructed (or nodes() == 0) means "everything reachable" — the
+/// fault-free all-to-all costs nothing. Filled via
+/// ScheduleExecutor::mark_reachable.
 class PairMask {
  public:
   PairMask() = default;

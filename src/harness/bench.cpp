@@ -39,9 +39,11 @@ BenchContext BenchContext::from_cli(util::Cli& cli) {
   cli.describe("sim-threads", "slab-parallel worker threads inside each "
                               "simulation (default 1 = one-slab reference run; "
                               "see --jobs for across-point parallelism)");
-  cli.describe("resume", "partial CSV/JSON output of an interrupted run; "
-                         "already-completed points are skipped and the sinks "
-                         "write the merged result");
+  cli.describe("resume", "per-run CSV/JSON output of an earlier run (sinks "
+                         "are written when the sweep finishes); its drained "
+                         "rows are reused, points it lacks and rows with "
+                         "drained = 0 are rerun, and the sinks write the "
+                         "merged result");
   BenchContext ctx;
   try {
     ctx.full = cli.get_bool("full", false);

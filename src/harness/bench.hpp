@@ -41,9 +41,11 @@ struct BenchContext {
   /// too; only zero-lookahead configs and dependency-gated schedules fall
   /// back to 1 per run (RunResult::sim_threads_reason says why).
   int sim_threads = 1;
-  /// Partial CSV/JSON output of an interrupted run (--resume): slots whose
+  /// Per-run CSV/JSON output of an earlier run (--resume): slots whose
   /// drained rows are already present are skipped, and the sinks write a
   /// merged file byte-identical to an uninterrupted run (see resume.hpp).
+  /// Sinks are written once the sweep returns, so a killed sweep leaves no
+  /// file; resume reuses finished outputs and reruns their undrained rows.
   /// Requires --csv or --json; incompatible with --repeats > 1 and
   /// --host-timing. Resumed points print as zero rows in the bench tables.
   std::string resume_path;

@@ -1,13 +1,13 @@
-// Resumable sweeps: reuse the rows of an interrupted run's CSV/JSON output.
+// Resumable sweeps: reuse the rows of an earlier run's CSV/JSON output.
 //
-// A sweep writes one deterministic row per (point, repeat) run. When a long
-// sweep dies partway (host crash, --timeout budget, a killed shard), the
-// rows already on disk are still valid — the per-run schema carries the
+// A sweep writes one deterministic row per (point, repeat) run, once the
+// whole sweep has returned (a sweep killed partway writes nothing). The
+// rows of a finished output stay valid — the per-run schema carries the
 // label, repeat and seed that identify the slot, and every simulated value
-// is a pure function of them. `--resume <file>` parses the partial output,
-// skips every slot whose drained row is already present, reruns only the
-// missing slots, and writes a merged file byte-identical to what the
-// uninterrupted run would have produced.
+// is a pure function of them. `--resume <file>` parses that output (or a
+// truncated copy of it), skips every slot whose drained row is already
+// present, reruns the missing and undrained slots, and writes a merged file
+// byte-identical to what one uninterrupted run would have produced.
 //
 // Resume matches slots by (label, repeat, seed), so changing the sweep's
 // base seed, point list or labels simply reruns the affected slots; a stale

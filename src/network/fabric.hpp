@@ -108,8 +108,8 @@ struct FaultStats {
   Tick link_down_cycles = 0;             // summed transient downtime (per link)
   /// Relay payload accepted by nodes that later fail-stopped (fail_at > 0):
   /// bytes owed to final destinations that died with their custodian. The
-  /// strategy client computes it at quiescence (see
-  /// StrategyClient::stranded_relay_bytes); nonzero means the shortfall in
+  /// schedule executor computes it at quiescence (see
+  /// ScheduleExecutor::stranded_relay_bytes); nonzero means the shortfall in
   /// the delivery matrix is explained by the strike, not a simulator bug.
   std::uint64_t stranded_relay_bytes = 0;
 

@@ -222,7 +222,9 @@ TEST(FaultPlan, AdaptiveSurvivesFaultsThatKillDeterministicPaths) {
       if (s == d) continue;
       const bool adaptive = plan.pair_routable(s, d, RoutingMode::kAdaptive);
       const bool det = plan.pair_routable(s, d, RoutingMode::kDeterministic);
-      if (det) EXPECT_TRUE(adaptive) << "pair " << s << "->" << d;
+      if (det) {
+        EXPECT_TRUE(adaptive) << "pair " << s << "->" << d;
+      }
       if (!det) ++det_lost;
     }
   }

@@ -2,18 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
-#include "src/network/fabric.hpp"
+#include "src/network/faults.hpp"
 
 namespace bgl::coll {
 namespace {
 
-net::NetworkConfig make_config(const char* shape, std::uint64_t seed = 1) {
-  net::NetworkConfig config;
-  config.shape = topo::parse_shape(shape);
-  config.seed = seed;
-  return config;
+AlltoallOptions make_options(const char* shape, std::uint64_t msg_bytes = 240) {
+  AlltoallOptions options;
+  options.net.shape = topo::parse_shape(shape);
+  options.net.seed = 1;
+  options.msg_bytes = msg_bytes;
+  return options;
+}
+
+bool patterned(const Pattern& pattern, topo::Rank s, topo::Rank d) {
+  const auto& dests = pattern.dests[static_cast<std::size_t>(s)];
+  return s != d && std::find(dests.begin(), dests.end(), d) != dests.end();
 }
 
 TEST(Pattern, RandomSubsetHasExactFanout) {
@@ -54,78 +63,187 @@ TEST(Pattern, GridPartnersRowAndColumn) {
   EXPECT_EQ(actual, expected);
 }
 
-class M2MTransport : public ::testing::TestWithParam<bool> {};
+class M2MTransport : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(M2MTransport, DeliversEveryMessageExactlyOnce) {
-  const bool two_phase = GetParam();
-  ManyToManyOptions options;
-  options.net = make_config("4x4x8");
-  options.msg_bytes = 333;
-  options.two_phase = two_phase;
+  AlltoallOptions options = make_options("4x4x8", 333);
   DeliveryMatrix matrix(static_cast<std::int32_t>(options.net.shape.nodes()));
   options.deliveries = &matrix;
 
   const auto pattern = Pattern::random_subset(128, 7, 3);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_many_to_many(pattern, GetParam(), options);
   EXPECT_TRUE(result.drained);
-  EXPECT_EQ(result.messages, 128u * 7u);
+  EXPECT_EQ(result.strategy, strategy_name(GetParam()));
+  EXPECT_TRUE(result.reachable_complete);
+  EXPECT_EQ(result.pairs_complete, 128u * 7u);
+  // Every pair outside the pattern is reported unreachable.
+  EXPECT_EQ(result.unreachable_pairs, 128u * 127u - 128u * 7u);
+  // All-to-all rates do not apply to a sparse run.
+  EXPECT_EQ(result.percent_peak, 0.0);
+  EXPECT_EQ(result.per_node_mbps, 0.0);
 
   // Exactly the patterned pairs received exactly msg_bytes.
   for (topo::Rank s = 0; s < 128; ++s) {
-    std::set<topo::Rank> expected(pattern.dests[static_cast<std::size_t>(s)].begin(),
-                                  pattern.dests[static_cast<std::size_t>(s)].end());
     for (topo::Rank d = 0; d < 128; ++d) {
-      const std::uint64_t want = expected.count(d) ? 333u : 0u;
+      const std::uint64_t want = patterned(pattern, s, d) ? 333u : 0u;
       ASSERT_EQ(matrix.bytes(s, d), want) << s << " -> " << d;
     }
   }
 }
 
 TEST_P(M2MTransport, HaloCompletes) {
-  const bool two_phase = GetParam();
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
-  options.msg_bytes = 1024;
-  options.two_phase = two_phase;
+  AlltoallOptions options = make_options("4x4x4", 1024);
+  options.verify = true;
   const auto pattern = Pattern::halo(options.net.shape);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_many_to_many(pattern, GetParam(), options);
   EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.reachable_complete);
   EXPECT_GT(result.elapsed_cycles, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(DirectAndTwoPhase, M2MTransport, ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(DirectAndTwoPhase, M2MTransport,
+                         ::testing::Values(StrategyKind::kAdaptiveRandom,
+                                           StrategyKind::kTwoPhase));
 
 TEST(M2M, TwoPhaseUsesChosenLinearAxis) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x8");
-  options.two_phase = true;
+  const AlltoallOptions options = make_options("4x4x8");
   const auto pattern = Pattern::random_subset(128, 3, 1);
-  SparseClient client(options.net, pattern, options);
-  EXPECT_EQ(client.linear_axis(), topo::kZ);
+  const CommSchedule sched = build_sparse_schedule(pattern, StrategyKind::kTwoPhase,
+                                                   options.net, options, nullptr);
+  EXPECT_EQ(sched.stream.relay, RelayRule::kLinearAxis);
+  EXPECT_EQ(sched.stream.relay_axis, topo::kZ);
+}
+
+TEST(M2M, SparseScheduleSendsWholeMessagesToThePattern) {
+  const AlltoallOptions options = make_options("4x4x4", 1000);
+  const auto pattern = Pattern::random_subset(64, 4, 2);
+  const CommSchedule sched = build_sparse_schedule(
+      pattern, StrategyKind::kAdaptiveRandom, options.net, options, nullptr);
+  EXPECT_EQ(sched.stream.rounds, 1u);
+  EXPECT_EQ(static_cast<std::size_t>(sched.stream.burst), sched.phases[0].packets.size());
+  for (topo::Rank n = 0; n < 64; ++n) {
+    const DestOrder& order = sched.orders[static_cast<std::size_t>(n)];
+    ASSERT_EQ(order.positions(), 4u);
+    for (std::uint32_t p = 0; p < order.positions(); ++p) {
+      EXPECT_TRUE(patterned(pattern, n, order.at(p)));
+    }
+  }
 }
 
 TEST(M2M, DeterministicRoutingWorksToo) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
-  options.mode = net::RoutingMode::kDeterministic;
-  options.msg_bytes = 100;
+  AlltoallOptions options = make_options("4x4x4", 100);
   DeliveryMatrix matrix(64);
   options.deliveries = &matrix;
   const auto pattern = Pattern::random_subset(64, 4, 5);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_many_to_many(pattern, StrategyKind::kDeterministic, options);
   EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.reachable_complete);
   EXPECT_EQ(result.packets_delivered, 64u * 4u);
 }
 
 TEST(M2M, EmptyPatternFinishesImmediately) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
+  AlltoallOptions options = make_options("4x4x4");
+  options.verify = true;
   Pattern pattern;
   pattern.dests.resize(64);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_many_to_many(pattern, StrategyKind::kAdaptiveRandom, options);
   EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.reachable_complete);
   EXPECT_EQ(result.elapsed_cycles, 0u);
-  EXPECT_EQ(result.messages, 0u);
+  EXPECT_EQ(result.packets_delivered, 0u);
+}
+
+TEST(M2M, KindsWithoutAnOrderedFormThrow) {
+  const AlltoallOptions options = make_options("4x4x4");
+  const auto pattern = Pattern::halo(options.net.shape);
+  for (const StrategyKind kind : {StrategyKind::kVirtualMesh, StrategyKind::kBest}) {
+    EXPECT_THROW(build_sparse_schedule(pattern, kind, options.net, options, nullptr),
+                 std::invalid_argument);
+    EXPECT_THROW(run_many_to_many(pattern, kind, options), std::invalid_argument);
+  }
+}
+
+TEST(M2M, PatternNotSizedToTheShapeThrows) {
+  const AlltoallOptions options = make_options("4x4x4");
+  EXPECT_THROW(run_many_to_many(Pattern::random_subset(32, 3, 1),
+                                StrategyKind::kAdaptiveRandom, options),
+               std::invalid_argument);
+}
+
+// Under permanent link faults the schedule skips unroutable patterned pairs
+// at the source and reports them unreachable, instead of losing them
+// silently: every patterned pair short of its bytes is one the result marks.
+TEST(M2M, FaultedRunReportsEveryLostPatternedPair) {
+  AlltoallOptions options = make_options("4x4x8", 333);
+  options.net.faults = net::parse_fault_spec("link:0.05,seed:3");
+  DeliveryMatrix matrix(128);
+  options.deliveries = &matrix;
+  const auto pattern = Pattern::random_subset(128, 7, 3);
+  const RunResult result = run_many_to_many(pattern, StrategyKind::kAdaptiveRandom, options);
+  EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.verified);
+  EXPECT_TRUE(result.reachable_complete);
+  ASSERT_EQ(result.reachable.nodes(), 128);
+
+  std::uint64_t short_pairs = 0;
+  for (topo::Rank s = 0; s < 128; ++s) {
+    for (topo::Rank d = 0; d < 128; ++d) {
+      if (!patterned(pattern, s, d)) continue;
+      if (matrix.bytes(s, d) != 333u) {
+        ++short_pairs;
+        EXPECT_FALSE(result.reachable.reachable(s, d)) << s << " -> " << d;
+      }
+    }
+  }
+  // The plan severs some patterned pairs, so the check above has teeth.
+  EXPECT_GT(short_pairs, 0u);
+  EXPECT_EQ(result.pairs_complete + short_pairs, pattern.total_messages());
+}
+
+// A mid-run strike arms epoch recovery, which repairs only the pattern's
+// pairs: the recovered run is complete and nothing lands outside it.
+TEST(M2M, MidRunStrikeRecoversOnlyPatternedPairs) {
+  AlltoallOptions options = make_options("4x4x8", 333);
+  options.net.faults = net::parse_fault_spec("node:1,fail_at:3000,seed:7");
+  DeliveryMatrix matrix(128);
+  options.deliveries = &matrix;
+  const auto pattern = Pattern::random_subset(128, 7, 3);
+  const RunResult result = run_many_to_many(pattern, StrategyKind::kTwoPhase, options);
+  EXPECT_TRUE(result.drained);
+  EXPECT_GE(result.epochs.replans, 1);
+  EXPECT_TRUE(result.reachable_complete);
+  EXPECT_EQ(result.faults.stranded_relay_bytes, 0u);
+  EXPECT_EQ(result.percent_peak, 0.0);
+  for (topo::Rank s = 0; s < 128; ++s) {
+    for (topo::Rank d = 0; d < 128; ++d) {
+      if (s != d && !patterned(pattern, s, d)) {
+        ASSERT_EQ(matrix.bytes(s, d), 0u) << s << " -> " << d;
+        EXPECT_FALSE(result.reachable.reachable(s, d));
+      }
+    }
+  }
+}
+
+// Sparse runs use the slab-parallel core like any schedule: the delivery
+// matrix is cell-exact at 1 and 4 worker threads.
+TEST(M2M, ParallelTwoPhaseRunIsCellExact) {
+  const auto pattern = Pattern::random_subset(128, 9, 4);
+  std::vector<DeliveryMatrix> matrices;
+  for (const int threads : {1, 4}) {
+    AlltoallOptions options = make_options("4x4x8", 500);
+    options.net.sim_threads = threads;
+    DeliveryMatrix& matrix = matrices.emplace_back(128);
+    options.deliveries = &matrix;
+    const RunResult result = run_many_to_many(pattern, StrategyKind::kTwoPhase, options);
+    EXPECT_TRUE(result.drained);
+    EXPECT_TRUE(result.reachable_complete);
+    EXPECT_EQ(result.sim_threads, threads);
+  }
+  for (topo::Rank s = 0; s < 128; ++s) {
+    for (topo::Rank d = 0; d < 128; ++d) {
+      ASSERT_EQ(matrices[0].bytes(s, d), matrices[1].bytes(s, d)) << s << " -> " << d;
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/coll/many_to_many.hpp"
 #include "src/coll/registry.hpp"
 #include "src/coll/schedule_lint.hpp"
 
@@ -84,6 +87,46 @@ TEST(ScheduleLint, CoverageMatchesExecutorReachability) {
       }
     }
     EXPECT_EQ(report.covered_pairs, reachable);
+  }
+}
+
+TEST(ScheduleLint, SparsePatternsLintCleanWithPatternCoverage) {
+  // A sparse pattern's schedule covers exactly its pairs: all of them
+  // fault-free, and under a fault plan those the transport can still route,
+  // matching the executor's reachability mask.
+  AlltoallOptions options = options_for("4x4x4", 300);
+  const std::vector<std::pair<const char*, Pattern>> patterns = {
+      {"halo", Pattern::halo(options.net.shape)},
+      {"random_subset", Pattern::random_subset(64, 6, 5)},
+      {"grid_partners", Pattern::grid_partners(64, 8)},
+  };
+  for (const bool faulted : {false, true}) {
+    options.net.faults = faulted ? net::parse_fault_spec("link:0.05,seed:7")
+                                 : net::FaultConfig{};
+    const net::FaultPlan plan(options.net, options.net.shape);
+    const net::FaultPlan* faults = faulted ? &plan : nullptr;
+    for (const auto& [name, pattern] : patterns) {
+      for (const StrategyKind kind : {StrategyKind::kAdaptiveRandom,
+                                      StrategyKind::kDeterministic,
+                                      StrategyKind::kTwoPhase}) {
+        SCOPED_TRACE(std::string(name) + " " + strategy_name(kind) +
+                     (faulted ? " faulted" : " fault-free"));
+        const CommSchedule sched =
+            build_sparse_schedule(pattern, kind, options.net, options, faults);
+        const LintReport report = schedule_lint(sched, faults);
+        EXPECT_TRUE(report.ok()) << report.to_string();
+        if (!faulted) {
+          EXPECT_EQ(report.covered_pairs, pattern.total_messages());
+          continue;
+        }
+        ScheduleExecutor exec(options.net, sched, nullptr, faults);
+        PairMask mask(sched.nodes());
+        exec.mark_reachable(mask);
+        const std::uint64_t all_pairs = 64u * 63u;
+        EXPECT_EQ(report.covered_pairs, all_pairs - mask.unreachable_pairs());
+        EXPECT_LE(report.covered_pairs, pattern.total_messages());
+      }
+    }
   }
 }
 

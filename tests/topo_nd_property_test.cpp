@@ -125,7 +125,9 @@ TEST_P(NdShapeProperty, HopsMatchBruteForce) {
         const bool expect_tie = shape.wrap[static_cast<std::size_t>(axis)] &&
                                 extent % 2 == 0 && want == extent / 2 && want > 0;
         EXPECT_EQ(tie, expect_tie);
-        if (tie) EXPECT_GT(signed_hops, 0);
+        if (tie) {
+          EXPECT_GT(signed_hops, 0);
+        }
       }
     }
   }
@@ -184,8 +186,8 @@ std::vector<std::string> sampled_specs() {
 
 INSTANTIATE_TEST_SUITE_P(SampledShapes, NdShapeProperty,
                          ::testing::ValuesIn(sampled_specs()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == 'x') c = '_';
                            }
@@ -231,12 +233,12 @@ const EndToEndCase kEndToEndCases[] = {
 };
 
 INSTANTIATE_TEST_SUITE_P(SampledRuns, NdEndToEnd, ::testing::ValuesIn(kEndToEndCases),
-                         [](const ::testing::TestParamInfo<EndToEndCase>& info) {
-                           std::string name = info.param.spec;
+                         [](const ::testing::TestParamInfo<EndToEndCase>& param_info) {
+                           std::string name = param_info.param.spec;
                            for (char& c : name) {
                              if (c == 'x') c = '_';
                            }
-                           return name + "_" + std::to_string(info.index);
+                           return name + "_" + std::to_string(param_info.index);
                          });
 
 }  // namespace
